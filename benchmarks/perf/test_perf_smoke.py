@@ -7,6 +7,7 @@ asserted exactly (it is machine-independent).
 """
 
 import json
+import time
 
 import pytest
 
@@ -74,3 +75,40 @@ def test_kernel_dispatch_uses_fast_lane():
     hardware exceeds with the fast lane but not without it."""
     rate = max(harness.kernel_dispatch(60_000) for _ in range(2))
     assert rate > 500_000, f"kernel dispatch suspiciously slow: {rate:,.0f}/s"
+
+
+def test_checker_bundle_scales_with_the_run():
+    """check_all on a 2,000-op crash-failover run costs well under the
+    run itself.  A ratio, so host speed cancels; an all-pairs checker
+    pass (what the majority guarantee used to be) takes minutes here."""
+    from repro.faults import FaultSchedule
+    from repro.sharding.cluster import ShardedScenarioConfig, build_sharded_scenario
+    from repro.sim.latency import UniformLatency
+
+    run = build_sharded_scenario(ShardedScenarioConfig(
+        n_shards=2,
+        n_servers=3,
+        n_clients=4,
+        requests_per_client=500,
+        machine="bank",
+        workload="cross",
+        cross_ratio=0.3,
+        driver="open",
+        open_rate=0.5,
+        latency=UniformLatency(0.5, 1.5),
+        fd_interval=2.0,
+        fd_timeout=8.0,
+        fault_schedule=FaultSchedule().crash(50.0, "s0.p1"),
+        trace_level="full",
+        seed=0,
+    ))
+    started = time.perf_counter()
+    run.execute()
+    execute_s = time.perf_counter() - started
+    assert run.all_done()
+    started = time.perf_counter()
+    run.check_all(strict=False)
+    check_s = time.perf_counter() - started
+    assert check_s <= 0.5 * execute_s, (
+        f"check_all took {check_s:.2f} s against {execute_s:.2f} s of run"
+    )

@@ -23,8 +23,11 @@ Fig. 1(b) anomaly (baseline)   :func:`count_baseline_inconsistencies`
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from bisect import bisect_right
+from collections import Counter, defaultdict
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.sequences import MessageSequence, as_sequence, common_prefix
 from repro.sim.trace import TraceEvent, TraceLog
@@ -80,13 +83,24 @@ def settled_epochs(trace: TraceLog, pid: str) -> Set[int]:
     return {epoch - 1 for epoch in started if epoch >= 1}
 
 
-def _epoch_opt_orders(trace: TraceLog, epoch: int) -> Dict[str, List[str]]:
-    """Per-server optimistic delivery order during one epoch."""
-    orders: Dict[str, List[str]] = defaultdict(list)
+def _opt_orders_by_epoch(trace: TraceLog) -> Dict[int, Dict[str, List[str]]]:
+    """Per-epoch, per-server optimistic delivery orders, in one trace pass."""
+    flat: Dict[Tuple[int, str], List[str]] = defaultdict(list)
     for event in trace.events(kind="opt_deliver"):
-        if event["epoch"] == epoch:
-            orders[event.pid].append(event["rid"])
-    return dict(orders)
+        fields = event.fields
+        flat[fields["epoch"], event.pid].append(fields["rid"])
+    orders: Dict[int, Dict[str, List[str]]] = {}
+    for (epoch, pid), order in flat.items():
+        orders.setdefault(epoch, {})[pid] = order
+    return orders
+
+
+def _first_positions(order: Sequence[str], start: int = 0) -> Dict[str, int]:
+    """Each rid's first position in ``order`` (``list.index`` + ``start``)."""
+    positions: Dict[str, int] = {}
+    for index, rid in enumerate(order, start):
+        positions.setdefault(rid, index)
+    return positions
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +129,7 @@ def check_cnsv_order_properties(trace: TraceLog, group_size: int) -> int:
         results[event["epoch"]][event.pid] = event
 
     crashed = {event.pid for event in trace.events(kind="crash")}
+    opt_orders_by_epoch = _opt_orders_by_epoch(trace) if results else {}
 
     for epoch, per_pid in sorted(results.items()):
         finals: Dict[str, MessageSequence] = {}
@@ -177,10 +192,12 @@ def check_cnsv_order_properties(trace: TraceLog, group_size: int) -> int:
         # Undo consistency: an undone message was Opt-delivered by at most
         # a minority (counted over *all* processes, including crashed
         # ones, via their opt_deliver events).
-        opt_orders = _epoch_opt_orders(trace, epoch)
+        opt_sets = [
+            set(order) for order in opt_orders_by_epoch.get(epoch, {}).values()
+        ]
         for pid, event in per_pid.items():
             for rid in event["bad"]:
-                holders = sum(1 for order in opt_orders.values() if rid in order)
+                holders = sum(1 for opt_set in opt_sets if rid in opt_set)
                 if holders >= majority:
                     raise CheckFailure(
                         f"undo consistency violated at {pid} epoch {epoch}: "
@@ -202,44 +219,70 @@ def check_cnsv_order_properties(trace: TraceLog, group_size: int) -> int:
 # Majority guarantee (Section 4)
 # ----------------------------------------------------------------------
 
+def _inverted_pairs(
+    order: Sequence[str], final: Sequence[str], position: Mapping[str, int]
+) -> Iterator[Tuple[str, str]]:
+    """Pairs ``(x, y)`` with x before y in ``order`` but y before x in ``final``.
+
+    ``position`` maps each rid of ``final`` to its first position; rids
+    absent from ``final`` are skipped, and only the first occurrence of
+    a rid in ``order`` counts (both as ``list.index``).  One sweep keeps
+    the final positions seen so far sorted: O(n log n + inversions)
+    comparisons, with plain appends while the positions increase.
+    """
+    seen: List[int] = []
+    for rid in dict.fromkeys(order):
+        pos = position.get(rid)
+        if pos is None:
+            continue
+        if not seen or pos > seen[-1]:
+            seen.append(pos)
+            continue
+        cut = bisect_right(seen, pos)
+        for later in seen[cut:]:
+            yield final[later], rid
+        seen.insert(cut, pos)
+
+
 def check_majority_guarantee(trace: TraceLog, group_size: int) -> int:
     """If a majority Opt-delivered m1 before m2, nobody delivers m2 first.
 
-    Checked per epoch against every server's *final* delivered sequence
-    (reconstructed from the trace).  Returns the number of (epoch, pair)
-    combinations examined.
+    Checked per epoch, in both orientations of every rid pair, against
+    every server's *final* delivered sequence (reconstructed from the
+    trace).  Returns the number of (epoch, pair) combinations covered.
+
+    Rather than visit every pair, each final order F is swept against
+    each opt order O of the epoch for the pairs F inverts (restricted to
+    rids in both), and a pair fails once a majority of the O agree on
+    the order F inverts.  Cost: O(P * E log R + I) for P servers, E
+    opt_deliver events, R rids per epoch and I inverted (O, F) pairs --
+    near-linear, since a correct run only inverts minority suffixes.
     """
     majority = group_size // 2 + 1
-    pids = {event.pid for event in trace.events(kind="opt_deliver")}
+    opt_orders_by_epoch = _opt_orders_by_epoch(trace)
+    pids = {pid for orders in opt_orders_by_epoch.values() for pid in orders}
     pids |= {event.pid for event in trace.events(kind="a_deliver")}
-    final_orders = {pid: reconstruct_delivered(trace, pid) for pid in pids}
+    finals = []
+    for pid in sorted(pids):
+        final = reconstruct_delivered(trace, pid)
+        finals.append((pid, final, _first_positions(final)))
 
-    epochs = sorted(
-        {event["epoch"] for event in trace.events(kind="opt_deliver")}
-    )
     examined = 0
-    for epoch in epochs:
-        opt_orders = list(_epoch_opt_orders(trace, epoch).values())
-        rids = sorted({rid for order in opt_orders for rid in order})
-        for i, m1 in enumerate(rids):
-            for m2 in rids[i + 1:]:
-                before = sum(
-                    1
-                    for order in opt_orders
-                    if m1 in order and m2 in order
-                    and order.index(m1) < order.index(m2)
-                )
-                examined += 1
-                if before < majority:
-                    continue
-                for pid, order in final_orders.items():
-                    if m1 in order and m2 in order:
-                        if order.index(m2) < order.index(m1):
-                            raise CheckFailure(
-                                f"majority guarantee violated: majority "
-                                f"Opt-delivered {m1} before {m2} in epoch "
-                                f"{epoch}, but {pid} delivered {m2} first"
-                            )
+    for epoch, per_pid in sorted(opt_orders_by_epoch.items()):
+        opt_orders = list(per_pid.values())
+        n_rids = len(set().union(*opt_orders))
+        examined += n_rids * (n_rids - 1) // 2
+        for pid, final, position in finals:
+            votes: Counter = Counter()
+            for order in opt_orders:
+                votes.update(_inverted_pairs(order, final, position))
+            for (m1, m2), count in votes.items():
+                if count >= majority:
+                    raise CheckFailure(
+                        f"majority guarantee violated: majority "
+                        f"Opt-delivered {m1} before {m2} in epoch "
+                        f"{epoch}, but {pid} delivered {m2} first"
+                    )
     return examined
 
 
@@ -1376,21 +1419,19 @@ def count_baseline_inconsistencies(
     (Proposition 7); for the sequencer baseline it is not -- benchmark B2
     reports both.
     """
-    final_orders = {
-        server.pid: _server_order(server) for server in correct_servers
-    }
+    final_positions = [
+        _first_positions(_server_order(server), start=1)
+        for server in correct_servers
+    ]
     majority = len(correct_servers) // 2 + 1
     inconsistent = 0
     for adoption in trace.events(kind="adopt"):
         rid = adoption["rid"]
-        disagreeing = 0
-        for pid, order in final_orders.items():
-            if rid not in order:
-                disagreeing += 1
-                continue
-            position = order.index(rid) + 1
-            if position != adoption["position"]:
-                disagreeing += 1
+        disagreeing = sum(
+            1
+            for positions in final_positions
+            if positions.get(rid, _MISSING) != adoption["position"]
+        )
         if disagreeing >= majority:
             inconsistent += 1
     return inconsistent

@@ -138,6 +138,18 @@ class TestMajorityGuaranteeChecker:
         with pytest.raises(CheckFailure, match="majority guarantee"):
             check_majority_guarantee(log, 3)
 
+    def test_detects_violation_in_reverse_lexicographic_orientation(self):
+        log = TraceLog()
+        # Majority (p1, p2 of 3) opt-deliver b before a...
+        for pid in ("p1", "p2"):
+            self._opt(log, pid, "b", 0, 1)
+            self._opt(log, pid, "a", 0, 2)
+        # ...but p3 A-delivers a before b.
+        log.record(5.0, "p3", "a_deliver", rid="a", epoch=0, position=1, value=1)
+        log.record(6.0, "p3", "a_deliver", rid="b", epoch=0, position=2, value=2)
+        with pytest.raises(CheckFailure, match="majority guarantee"):
+            check_majority_guarantee(log, 3)
+
     def test_minority_prefix_allows_reordering(self):
         log = TraceLog()
         self._opt(log, "p1", "a", 0, 1)  # only one of three
@@ -268,6 +280,33 @@ class TestCnsvOrderChecker:
         })
         with pytest.raises(CheckFailure, match="validity"):
             check_cnsv_order_properties(log, 3)
+
+    def _opt(self, log, pid, kind, rid):
+        log.record(1.0, pid, kind, rid=rid, epoch=0, position=1, value=1)
+
+    def test_detects_undo_consistency_violation(self):
+        log = TraceLog()
+        # p1..p3, a majority of 5, Opt-deliver a; p1 and p2 undo it.
+        for pid in ("p1", "p2", "p3"):
+            self._opt(log, pid, "opt_deliver", "a")
+        self._run_epoch(log, {
+            "proposals": {"p1": (("a",), ()), "p2": (("a",), ())},
+            "orders": {"p1": (("a",), ()), "p2": (("a",), ())},
+        })
+        with pytest.raises(CheckFailure, match="undo consistency"):
+            check_cnsv_order_properties(log, 5)
+
+    def test_redelivered_rid_counts_one_holder(self):
+        log = TraceLog()
+        # p1 Opt-delivers a twice in one epoch: still one holder of 3.
+        self._opt(log, "p1", "opt_deliver", "a")
+        self._opt(log, "p1", "opt_undeliver", "a")
+        self._opt(log, "p1", "opt_deliver", "a")
+        self._run_epoch(log, {
+            "proposals": {"p1": (("a",), ())},
+            "orders": {"p1": (("a",), ())},
+        })
+        assert check_cnsv_order_properties(log, 3) == 1
 
 
 class TestBaselineScoring:
