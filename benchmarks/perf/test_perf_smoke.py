@@ -6,6 +6,7 @@ actually faster than a trivially slow floor.  The determinism digest is
 asserted exactly (it is machine-independent).
 """
 
+import asyncio
 import json
 import time
 
@@ -112,3 +113,61 @@ def test_checker_bundle_scales_with_the_run():
     assert check_s <= 0.5 * execute_s, (
         f"check_all took {check_s:.2f} s against {execute_s:.2f} s of run"
     )
+
+
+def test_pump_receive_path_delivers_and_reaches_quiescence():
+    """The reconstructed seed transport (an inbox queue per process
+    drained by a pump task, the baseline cell's receive shape) still
+    delivers every frame in per-channel FIFO order and completes a full
+    sharded run that passes the checker bundle."""
+    from benchmarks.perf.wallclock import SeedTcpCluster
+    from repro.runtime.scenario import RuntimeScenarioConfig, run_runtime_scenario
+    from repro.sharding.cluster import ShardedScenarioConfig
+    from repro.sim.process import Process
+
+    class Recorder(Process):
+        def __init__(self, pid):
+            super().__init__(pid)
+            self.received = []
+
+        def on_message(self, src, payload):
+            self.received.append((src, payload))
+
+    async def scenario():
+        cluster = SeedTcpCluster()
+        a, b = Recorder("a"), Recorder("b")
+        cluster.add_process(a)
+        cluster.add_process(b)
+        await cluster.start()
+        for index in range(10):
+            a.env.send("b", index)
+        delivered = await cluster.run_until(
+            lambda: len(b.received) == 10, timeout=5
+        )
+        await cluster.shutdown()
+        return delivered, [payload for _src, payload in b.received]
+
+    delivered, payloads = asyncio.run(scenario())
+    assert delivered
+    assert payloads == list(range(10))  # per-channel FIFO survives
+
+    run = run_runtime_scenario(
+        RuntimeScenarioConfig(
+            scenario=ShardedScenarioConfig(
+                seed=7,
+                n_shards=2,
+                n_servers=3,
+                n_clients=4,
+                requests_per_client=10,
+                machine="kv",
+                workload="uniform",
+                n_keys=32,
+            ),
+            backend="tcp",
+            codec="pickle",
+            tcp_batch_interval=None,
+            tcp_cluster_factory=SeedTcpCluster,
+        )
+    )
+    assert run.completed
+    run.check_all()

@@ -198,16 +198,17 @@ class SeedTcpCluster(TcpCluster):
     """The pre-PR transport, reconstructed verbatim for the baseline cell.
 
     The optimized :class:`TcpCluster` can emulate the seed's *frame
-    shape* (``flush_bytes=1``, ``encode_cache=False``,
-    ``direct_dispatch=False``) but not its *mechanics*, which are what
-    this PR actually removed: one :func:`asyncio.ensure_future` task
-    per send, a per-channel :class:`asyncio.Lock` held across the
-    write, ``await writer.drain()`` after every frame, and a receive
-    loop of two ``readexactly`` awaits per frame feeding the inbox
-    queue.  This subclass restores exactly that send/receive code (from
-    the seed tree) so the committed ``oar_binary_vs_pre_pr`` ratio
-    compares against the transport that actually existed, not a
-    flattering approximation of it.
+    shape* (``flush_bytes=1``) but not its *mechanics*, which are what
+    the optimized transport removed: one :func:`asyncio.ensure_future`
+    task per send (encoding every frame, no fan-out cache), a
+    per-channel :class:`asyncio.Lock` held across the write, ``await
+    writer.drain()`` after every frame, and a receive loop of two
+    ``readexactly`` awaits per frame feeding an inbox queue per process
+    that a pump task drains one frame at a time.  This subclass
+    restores exactly that send/receive code (from the seed tree) so the
+    committed ``oar_binary_vs_pre_pr`` ratio compares against the
+    transport that actually existed, not a flattering approximation of
+    it.
     """
 
     def __init__(
@@ -222,12 +223,27 @@ class SeedTcpCluster(TcpCluster):
             codec=codec,
             trace_level=trace_level,
             flush_bytes=1,
-            encode_cache=False,
-            direct_dispatch=False,  # seed dispatch: inbox queue + pump
         )
+        self._inboxes: Dict[str, asyncio.Queue] = {}
         self._writers: Dict[Any, asyncio.StreamWriter] = {}
         self._writer_locks: Dict[Any, asyncio.Lock] = {}
         self._closing = False
+
+    async def start(self) -> None:
+        # Inboxes and pumps exist before any process starts sending.
+        for pid in self._processes:
+            inbox: asyncio.Queue = asyncio.Queue()
+            self._inboxes[pid] = inbox
+            self._track(asyncio.ensure_future(self._pump(pid, inbox)))
+        await super().start()
+
+    async def _pump(self, pid: str, inbox: asyncio.Queue) -> None:
+        """Seed receive shape: drain an inbox queue one frame at a time."""
+        process = self._processes[pid]
+        while True:
+            src, payload = await inbox.get()
+            if pid not in self._crashed:
+                process.on_message(src, payload)
 
     def send_frame(self, src: str, dst: str, payload: Any) -> None:
         # The closing guard keeps late dispatches (a pump draining its

@@ -33,23 +33,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.broadcast.sequencer import OrderMsg, SequencerAtomicBroadcastServer
-from repro.core.client import OARClient
+from repro.broadcast.sequencer import OrderMsg
 from repro.core.messages import SeqOrder
-from repro.core.server import OARConfig, OARServer
+from repro.core.server import OARConfig
 from repro.failure.detector import ScriptedFailureDetector
 from repro.faults.injection import crash_during_multicast
-from repro.replication.active import FirstReplyClient
+from repro.harness.deployment import DeploymentConfig, DeploymentRun, sim_network
+from repro.harness.scenario import ScenarioConfig, populate_group
 from repro.sim.latency import ConstantLatency, PerLinkLatency
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
-from repro.sim.trace import TraceLog
-from repro.statemachine import CounterMachine, StackMachine
+from repro.statemachine import StackMachine
 
 
 @dataclass
-class FigureRun:
-    """The outcome of one figure-exact scenario."""
+class FigureRun(DeploymentRun):
+    """The outcome of one figure-exact scenario.
+
+    Requests are scheduled by hand, so there are no drivers; ``config``
+    records the deployment the figure was built from.
+    """
 
     name: str
     sim: Simulator
@@ -57,23 +60,11 @@ class FigureRun:
     servers: List[Any]
     clients: List[Any]
     detectors: Dict[str, ScriptedFailureDetector] = field(default_factory=dict)
-
-    @property
-    def trace(self) -> TraceLog:
-        return self.network.trace
-
-    @property
-    def correct_servers(self) -> List[Any]:
-        return [s for s in self.servers if not s.crashed]
+    config: DeploymentConfig = field(default_factory=DeploymentConfig)
+    drivers: List[Any] = field(default_factory=list)
 
     def server(self, pid: str) -> Any:
         return next(s for s in self.servers if s.pid == pid)
-
-    def adopted(self) -> Dict[str, Any]:
-        merged: Dict[str, Any] = {}
-        for client in self.clients:
-            merged.update(client.adopted)
-        return merged
 
     def opt_delivered(self, pid: str, epoch: int = 0) -> Tuple[str, ...]:
         return tuple(
@@ -96,47 +87,37 @@ class FigureRun:
         )
 
 
-# ----------------------------------------------------------------------
-# OAR scenarios (Figures 2, 3, 4)
-# ----------------------------------------------------------------------
+def _build(name: str, config: ScenarioConfig) -> FigureRun:
+    """The figure's deployment, started, with scripted failure detectors.
 
-def _build_oar(
-    n_servers: int,
-    n_clients: int,
-    seed: int,
-    latency: Any = None,
-    config: Optional[OARConfig] = None,
-) -> FigureRun:
-    sim = Simulator(seed=seed)
-    network = SimNetwork(
-        sim, latency=latency or ConstantLatency(1.0), trace_messages=False
+    The figures' stack starts as ``[y]``.
+    """
+    config = config.with_changes(fd_kind="scripted")
+    network = sim_network(config)
+    servers, clients, detectors = populate_group(
+        config, network, _stack_of_y if config.machine == "stack" else None
     )
-    group = [f"p{i + 1}" for i in range(n_servers)]
-    detectors: Dict[str, ScriptedFailureDetector] = {}
-    servers: List[OARServer] = []
-    for pid in group:
-        fd = ScriptedFailureDetector()
-        detectors[pid] = fd
-        server = OARServer(
-            pid, group, CounterMachine(), fd, config or OARConfig()
-        )
-        servers.append(server)
-        network.add_process(server)
-    clients: List[OARClient] = []
-    for index in range(n_clients):
-        client = OARClient(f"c{index + 1}", group)
-        clients.append(client)
-        network.add_process(client)
     network.start_all()
     return FigureRun(
-        name="oar",
-        sim=sim,
+        name=name,
+        sim=network.sim,
         network=network,
         servers=servers,
         clients=clients,
         detectors=detectors,
+        config=config,
     )
 
+
+def _stack_of_y() -> StackMachine:
+    machine = StackMachine()
+    machine.apply(("push", "y"))
+    return machine
+
+
+# ----------------------------------------------------------------------
+# OAR scenarios (Figures 2, 3, 4)
+# ----------------------------------------------------------------------
 
 def run_figure_2(seed: int = 0) -> FigureRun:
     """OAR with no failure nor suspicion (Figure 2).
@@ -145,13 +126,9 @@ def run_figure_2(seed: int = 0) -> FigureRun:
     every server Opt-delivers all five in the same order; phase 2 never
     runs.
     """
-    run = _build_oar(
-        n_servers=3,
-        n_clients=1,
-        seed=seed,
-        config=OARConfig(batch_interval=2.0),
-    )
-    run.name = "figure2"
+    run = _build("figure2", ScenarioConfig(
+        seed=seed, oar=OARConfig(batch_interval=2.0)
+    ))
     client = run.clients[0]
     # First batch arrives before the t=2 ordering tick, second before t=4.
     run.sim.schedule_at(0.2, lambda: client.submit(("incr",)))  # m1
@@ -171,13 +148,10 @@ def run_figure_3(seed: int = 0) -> FigureRun:
     The majority {p1, p2} Opt-delivered m3 before m4, so Cnsv-order
     returns Bad = ε everywhere; p3 A-delivers {m3;m4}.
     """
-    run = _build_oar(
-        n_servers=3,
-        n_clients=1,
+    run = _build("figure3", ScenarioConfig(
         seed=seed,
-        config=OARConfig(batch_interval=2.0, consensus_collect="majority"),
-    )
-    run.name = "figure3"
+        oar=OARConfig(batch_interval=2.0, consensus_collect="majority"),
+    ))
     client = run.clients[0]
     run.sim.schedule_at(0.2, lambda: client.submit(("incr",)))  # m1
     run.sim.schedule_at(0.3, lambda: client.submit(("incr",)))  # m2
@@ -228,14 +202,9 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> FigureRun
         config = replace(
             config, batch_interval=2.0, consensus_collect="unsuspected"
         )
-    run = _build_oar(
-        n_servers=4,
-        n_clients=2,
-        seed=seed,
-        latency=latency,
-        config=config,
-    )
-    run.name = "figure4"
+    run = _build("figure4", ScenarioConfig(
+        seed=seed, n_servers=4, n_clients=2, latency=latency, oar=config
+    ))
     c1, c2 = run.clients
     run.sim.schedule_at(0.20, lambda: c1.submit(("incr",)))  # m1
     run.sim.schedule_at(0.30, lambda: c2.submit(("incr",)))  # m2
@@ -272,38 +241,21 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> FigureRun
 # Sequencer-baseline scenarios (Figure 1)
 # ----------------------------------------------------------------------
 
-def _build_sequencer_stack(
-    seed: int,
-    latency: Any = None,
-) -> FigureRun:
-    sim = Simulator(seed=seed)
-    network = SimNetwork(
-        sim, latency=latency or ConstantLatency(1.0), trace_messages=False
-    )
-    group = ["p1", "p2", "p3"]
-    detectors: Dict[str, ScriptedFailureDetector] = {}
-    servers: List[SequencerAtomicBroadcastServer] = []
-    for pid in group:
-        fd = ScriptedFailureDetector()
-        detectors[pid] = fd
-        machine = StackMachine()
-        machine.apply(("push", "y"))  # the figure's initial stack [y]
-        server = SequencerAtomicBroadcastServer(pid, group, machine, fd)
-        servers.append(server)
-        network.add_process(server)
-    clients: List[FirstReplyClient] = []
-    for cid in ("c1", "c2"):
-        client = FirstReplyClient(cid, group, reliable=False)
-        clients.append(client)
-        network.add_process(client)
-    network.start_all()
-    return FigureRun(
-        name="sequencer-stack",
-        sim=sim,
-        network=network,
-        servers=servers,
-        clients=clients,
-        detectors=detectors,
+def _stack_figure(
+    seed: int, protocol: str, late_pop: bool = False
+) -> ScenarioConfig:
+    """Figure 1's service: three replicas of the stack [y], two clients.
+
+    With ``late_pop`` c2's requests reach p2 late, so a sequencer at p2
+    orders c1's push(x) first.
+    """
+    latency = None
+    if late_pop:
+        latency = PerLinkLatency(
+            ConstantLatency(1.0), {("c2", "p2"): ConstantLatency(2.5)}
+        )
+    return ScenarioConfig(
+        protocol=protocol, seed=seed, n_clients=2, machine="stack", latency=latency
     )
 
 
@@ -314,8 +266,7 @@ def run_figure_1a(seed: int = 0) -> FigureRun:
     (pop; push): every replica's pop returns y, the stack ends as [x] --
     all replies consistent.
     """
-    run = _build_sequencer_stack(seed=seed)
-    run.name = "figure1a"
+    run = _build("figure1a", _stack_figure(seed, "sequencer"))
     c1, c2 = run.clients
     run.sim.schedule_at(0.10, lambda: c2.submit(("pop",)))      # arrives first
     run.sim.schedule_at(0.30, lambda: c1.submit(("push", "x")))
@@ -333,11 +284,7 @@ def run_figure_1b(seed: int = 0) -> FigureRun:
     adopted y: an external inconsistency, and the replicas' stacks
     diverge from p1's.
     """
-    latency = PerLinkLatency(
-        ConstantLatency(1.0), {("c2", "p2"): ConstantLatency(2.5)}
-    )
-    run = _build_sequencer_stack(seed=seed, latency=latency)
-    run.name = "figure1b"
+    run = _build("figure1b", _stack_figure(seed, "sequencer", late_pop=True))
     c1, c2 = run.clients
     pop_rid = "c2-0"
     run.sim.schedule_at(0.10, lambda: c2.submit(("pop",)))
@@ -368,50 +315,23 @@ def run_figure_1b_with_oar(seed: int = 0) -> FigureRun:
     below majority); it adopts the conservative reply that matches the
     surviving replicas -- external consistency (Proposition 7).
     """
-    sim = Simulator(seed=seed)
-    latency = PerLinkLatency(
-        ConstantLatency(1.0), {("c2", "p2"): ConstantLatency(2.5)}
-    )
-    network = SimNetwork(sim, latency=latency)
-    group = ["p1", "p2", "p3"]
-    detectors: Dict[str, ScriptedFailureDetector] = {}
-    servers: List[OARServer] = []
-    for pid in group:
-        fd = ScriptedFailureDetector()
-        detectors[pid] = fd
-        machine = StackMachine()
-        machine.apply(("push", "y"))
-        server = OARServer(pid, group, machine, fd, OARConfig())
-        servers.append(server)
-        network.add_process(server)
-    clients = [OARClient("c1", group), OARClient("c2", group)]
-    for client in clients:
-        network.add_process(client)
-    network.start_all()
-    run = FigureRun(
-        name="figure1b-oar",
-        sim=sim,
-        network=network,
-        servers=servers,
-        clients=clients,
-        detectors=detectors,
-    )
-    c1, c2 = clients
+    run = _build("figure1b-oar", _stack_figure(seed, "oar", late_pop=True))
+    c1, c2 = run.clients
     pop_rid = "c2-0"
-    sim.schedule_at(0.10, lambda: c2.submit(("pop",)))
-    sim.schedule_at(0.30, lambda: c1.submit(("push", "x")))
+    run.sim.schedule_at(0.10, lambda: c2.submit(("pop",)))
+    run.sim.schedule_at(0.30, lambda: c1.submit(("push", "x")))
 
     def is_pop_order(payload: Any) -> bool:
         return isinstance(payload, SeqOrder) and pop_rid in payload.rids
 
     crash_during_multicast(
-        network, "p1", is_pop_order, deliver_to=set(), crash=True
+        run.network, "p1", is_pop_order, deliver_to=set(), crash=True
     )
 
     def suspect_p1() -> None:
         for pid in ("p2", "p3"):
-            detectors[pid].force_suspect("p1")
+            run.detectors[pid].force_suspect("p1")
 
-    sim.schedule_at(5.0, suspect_p1)
-    sim.run(until=60.0, max_events=200_000)
+    run.sim.schedule_at(5.0, suspect_p1)
+    run.sim.run(until=60.0, max_events=200_000)
     return run

@@ -11,36 +11,29 @@ checkers, benchmarks and examples need.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis import checkers
 from repro.broadcast.ct_abcast import CTAtomicBroadcastServer
 from repro.broadcast.sequencer import SequencerAtomicBroadcastServer
-from repro.core.admission import TokenBucket
 from repro.core.client import OARClient
-from repro.core.server import OARConfig, OARServer
-from repro.failure.detector import (
-    FailureDetector,
-    HeartbeatFailureDetector,
-    ScriptedFailureDetector,
+from repro.core.server import OARServer
+from repro.failure.detector import FailureDetector
+from repro.harness.deployment import (
+    MACHINE_CLASSES,
+    DeploymentConfig,
+    DeploymentRun,
+    detector_factory,
+    make_drivers,
+    make_machine,
+    sim_network,
 )
-from repro.faults.injection import FaultSchedule
 from repro.replication.active import FirstReplyClient
 from repro.replication.passive import PassiveReplicationServer
-from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
-from repro.sim.process import Process
-from repro.sim.trace import TraceLog
-from repro.statemachine import (
-    BankMachine,
-    CounterMachine,
-    KVStoreMachine,
-    StackMachine,
-)
-from repro.workload.drivers import ClosedLoopDriver, OpenLoopDriver
-from repro.workload.openloop import PoissonProcess, SessionedOpenLoopDriver
+from repro.statemachine import StateMachine
 from repro.workload.generators import (
     bank_ops,
     counter_ops,
@@ -50,111 +43,31 @@ from repro.workload.generators import (
 )
 
 PROTOCOLS = ("oar", "sequencer", "ct", "passive")
-MACHINES = ("counter", "stack", "kv", "bank")
+MACHINES = tuple(MACHINE_CLASSES)
 
 
 @dataclass
-class ScenarioConfig:
-    """Everything needed to reproduce one experiment run."""
+class ScenarioConfig(DeploymentConfig):
+    """Everything needed to reproduce one experiment run.
 
+    The shared fields (sizes, machine, latency, failure detector, ``oar``
+    knobs, drivers, faults, budgets, trace) are documented on
+    :class:`~repro.harness.deployment.DeploymentConfig`.
+    """
+
+    #: "oar", or one of the baselines: "sequencer", "ct", "passive"
+    #: (the ``oar`` knobs are ignored by the baselines).
     protocol: str = "oar"
-    n_servers: int = 3
-    n_clients: int = 1
-    requests_per_client: int = 20
-    machine: str = "counter"
-    seed: int = 0
-
-    #: One-way link delay model; None = constant 1.0 (one phase per hop).
-    latency: Optional[LatencyModel] = None
-
-    #: "heartbeat" (live ◇S implementation) or "scripted" (suspicions are
-    #: injected explicitly -- used by figure-exact scenarios).
-    fd_kind: str = "heartbeat"
-    fd_interval: float = 5.0
-    fd_timeout: float = 15.0
-
-    #: OAR-specific knobs (ignored by other protocols).
-    oar: OARConfig = field(default_factory=OARConfig)
-
-    #: How clients execute read-only operations: None defers to
-    #: ``oar.read_mode`` (default "sequencer", the paper's base
-    #: protocol); "optimistic" / "conservative" enable the
-    #: replica-local read path (OAR protocol only).
-    read_mode: Optional[str] = None
-
-    #: Replica execution service model overrides: None defers to
-    #: ``oar.exec_cost`` / ``oar.exec_lanes`` (default: free inline
-    #: execution).  Setting them here builds the servers with a
-    #: per-operation execution cost and that many conflict-scheduled
-    #: worker lanes (benchmark B13).
-    exec_cost: Optional[float] = None
-    exec_lanes: Optional[int] = None
 
     #: When set (kv machine only), the workload becomes the Zipf-skewed
     #: read-heavy mix of ``read_heavy_kv_ops`` with this read fraction
     #: over ``n_keys`` keys -- the B12 read-scaling workload.
     read_ratio: Optional[float] = None
     n_keys: int = 16
-    zipf_s: float = 1.2
-
-    #: "closed" (latency-oriented), "open" (Poisson arrivals at
-    #: ``open_rate`` requests/time-unit per client) or "session" (the
-    #: overload harness: an arrival process multiplexing ``n_sessions``
-    #: logical sessions per client, optional client-side token bucket,
-    #: streaming latency recorder -- see ``repro.workload.openloop``).
-    driver: str = "closed"
-    open_rate: float = 0.2
-    think_time: float = 0.0
-    #: All drivers start submitting at this time (warm-up windowing:
-    #: B14 starts drivers after its topology change commits).
-    driver_start_at: float = 0.0
-    #: Session-driver knobs: the arrival process (None = Poisson at
-    #: ``open_rate``), sessions per client, the client-side token bucket
-    #: (``client_rate`` None disables throttling), and the warm-up cut
-    #: for the latency recorder (ops submitted before ``measure_from``
-    #: are excluded from percentiles).
-    arrival: Optional[Any] = None
-    n_sessions: int = 64
-    client_rate: Optional[float] = None
-    client_burst: float = 8.0
-    measure_from: float = 0.0
-    #: Admission-control overrides: None defers to the ``oar`` config
-    #: (default: disabled; see ``OARConfig.admission_limit``).
-    admission_limit: Optional[int] = None
-    read_queue_limit: Optional[int] = None
-    #: Client retransmission pacing (lost replies / crashed read
-    #: targets); None disables retransmission.
-    retry_interval: Optional[float] = None
-
-    fault_schedule: Optional[FaultSchedule] = None
-
-    #: Link-fault-plane installer; called with the built
-    #: :class:`~repro.sim.network.SimNetwork` right after construction
-    #: (e.g. ``lambda net: install_uniform_faults(net, drop=0.05)``).
-    faults: Optional[Callable[[SimNetwork], None]] = None
-
-    #: Hook for surgical fault injection; called with the built
-    #: :class:`ScenarioRun` before the simulation starts (e.g. to arm a
-    #: crash-during-multicast interceptor).
-    arm: Optional[Callable[["ScenarioRun"], None]] = None
-
-    #: Simulated-time and event budget.
-    horizon: float = 10_000.0
-    max_events: int = 2_000_000
-    grace: float = 50.0
-    trace_messages: bool = False
-    #: "full" keeps the checker-grade protocol trace; "off" disables all
-    #: tracing (zero-waste mode for throughput/soak runs -- ``check_all``
-    #: and trace-based metrics need "full").
-    trace_level: str = "full"
-
-    def with_changes(self, **changes: Any) -> "ScenarioConfig":
-        """A copy of this config with some fields replaced."""
-        return replace(self, **changes)
 
 
 @dataclass
-class ScenarioRun:
+class ScenarioRun(DeploymentRun):
     """A built (and, after ``execute``, completed) scenario."""
 
     config: ScenarioConfig
@@ -166,80 +79,8 @@ class ScenarioRun:
     detectors: Dict[str, FailureDetector]
 
     @property
-    def trace(self) -> TraceLog:
-        return self.network.trace
-
-    @property
     def server_pids(self) -> List[str]:
         return [server.pid for server in self.servers]
-
-    @property
-    def correct_servers(self) -> List[Any]:
-        return [s for s in self.servers if not s.crashed]
-
-    def submitted_rids(self) -> List[str]:
-        return [rid for driver in self.drivers for rid in driver.submitted]
-
-    def adopted(self) -> Dict[str, Any]:
-        merged: Dict[str, Any] = {}
-        for client in self.clients:
-            merged.update(client.adopted)
-        return merged
-
-    def latencies(self) -> List[float]:
-        return [event["latency"] for event in self.trace.events(kind="adopt")]
-
-    def all_done(self) -> bool:
-        """Drivers finished and every live replica drained its exec lanes.
-
-        A run is not quiescent while a live server still holds delivered
-        operations in its execution engine: the machine state (and the
-        outstanding replies) would still change.  Crashed servers never
-        drain and are excluded, matching crash-stop semantics.
-        """
-        if not all(driver.done for driver in self.drivers):
-            return False
-        return not any(
-            getattr(server, "exec_backlog", 0)
-            for server in self.servers
-            if not server.crashed
-        )
-
-    # ------------------------------------------------------------------
-
-    def execute(self) -> "ScenarioRun":
-        """Run to quiescence (+ grace period); returns self for chaining."""
-        config = self.config
-        if config.fault_schedule is not None:
-            config.fault_schedule.apply(
-                self.network, list(self.detectors.values())
-            )
-        if config.arm is not None:
-            config.arm(self)
-        deadline = config.horizon
-        sim = self.sim
-        drivers = self.drivers
-        servers = self.servers
-
-        def finished() -> bool:
-            # Horizon first: it is one float compare, the driver sweep is
-            # not, and this predicate runs after every event.
-            if sim._now >= deadline:
-                return True
-            for driver in drivers:
-                if not driver.done:
-                    return False
-            for server in servers:
-                # Execution lanes still busy on a live replica: state is
-                # still changing, keep running.
-                if not server.crashed and getattr(server, "exec_backlog", 0):
-                    return False
-            return True
-
-        sim.run_until(finished, max_events=config.max_events)
-        # Grace: let replies/settlements in flight land before checking.
-        sim.run(until=sim.now + config.grace, max_events=config.max_events)
-        return self
 
     # ------------------------------------------------------------------
     # Checker bundle
@@ -274,7 +115,7 @@ class ScenarioRun:
             checkers.check_read_consistency(
                 trace,
                 self.servers,
-                lambda: _make_machine(self.config.machine),
+                lambda: make_machine(self.config.machine),
             )
             checkers.check_fault_plane_accounting(trace, self.network)
             checkers.check_admission_accounting(
@@ -283,23 +124,6 @@ class ScenarioRun:
         else:
             checkers.check_replica_convergence(self.servers)
             checkers.check_fault_plane_accounting(trace, self.network)
-
-
-_MACHINE_CLASSES = {
-    "counter": CounterMachine,
-    "stack": StackMachine,
-    "kv": KVStoreMachine,
-    "bank": BankMachine,
-}
-
-
-def _make_machine(kind: str) -> Any:
-    if kind == "bank":  # the bank starts with seeded accounts
-        return BankMachine({"alice": 1_000, "bob": 1_000, "carol": 1_000})
-    cls = _MACHINE_CLASSES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown machine kind: {kind} (choose from {MACHINES})")
-    return cls()
 
 
 def _make_ops(config: ScenarioConfig, rng: random.Random) -> Iterator[Tuple[Any, ...]]:
@@ -320,47 +144,34 @@ def _make_ops(config: ScenarioConfig, rng: random.Random) -> Iterator[Tuple[Any,
     raise ValueError(f"unknown machine kind: {kind}")
 
 
-def build_scenario(config: ScenarioConfig) -> ScenarioRun:
-    """Construct (but do not run) the deployment described by ``config``."""
+def populate_group(
+    config: ScenarioConfig,
+    network: SimNetwork,
+    machine_factory: Optional[Callable[[], StateMachine]] = None,
+) -> Tuple[List[Any], List[Any], Dict[str, FailureDetector]]:
+    """Add the group's servers, then its clients, to ``network``.
+
+    Returns (servers, clients, detectors by pid).  ``machine_factory``
+    builds each replica's state machine (default: a fresh
+    ``config.machine``).
+    """
     if config.protocol not in PROTOCOLS:
         raise ValueError(
             f"unknown protocol: {config.protocol} (choose from {PROTOCOLS})"
         )
-    sim = Simulator(seed=config.seed)
-    latency = config.latency if config.latency is not None else ConstantLatency(1.0)
-    network = SimNetwork(
-        sim,
-        latency=latency,
-        trace_messages=config.trace_messages,
-        trace_level=config.trace_level,
-    )
-    if config.faults is not None:
-        config.faults(network)
-
-    oar_config = config.oar.with_exec_overrides(
-        config.exec_cost, config.exec_lanes
-    ).with_admission_overrides(config.admission_limit, config.read_queue_limit)
+    oar_config = config.server_oar()
     group = [f"p{i + 1}" for i in range(config.n_servers)]
     detectors: Dict[str, FailureDetector] = {}
-
-    def fd_factory(host: Process) -> FailureDetector:
-        if config.fd_kind == "heartbeat":
-            detector: FailureDetector = HeartbeatFailureDetector(
-                host,
-                monitored=group,
-                interval=config.fd_interval,
-                timeout=config.fd_timeout,
-            )
-        elif config.fd_kind == "scripted":
-            detector = ScriptedFailureDetector()
-        else:
-            raise ValueError(f"unknown fd kind: {config.fd_kind}")
-        detectors[host.pid] = detector
-        return detector
+    fd_factory = detector_factory(
+        detectors, config.fd_kind, config.fd_interval, config.fd_timeout
+    )(group)
 
     servers: List[Any] = []
     for pid in group:
-        machine = _make_machine(config.machine)
+        if machine_factory is None:
+            machine = make_machine(config.machine)
+        else:
+            machine = machine_factory()
         if config.protocol == "oar":
             server: Any = OARServer(pid, group, machine, fd_factory, oar_config)
         elif config.protocol == "sequencer":
@@ -382,68 +193,27 @@ def build_scenario(config: ScenarioConfig) -> ScenarioRun:
                 group,
                 retry_interval=config.retry_interval,
                 read_mode=read_mode,
-                is_read_only=_MACHINE_CLASSES[config.machine].is_read_only,
+                is_read_only=MACHINE_CLASSES[config.machine].is_read_only,
             )
         else:
             reliable = config.protocol == "ct"
             client = FirstReplyClient(cid, group, reliable=reliable)
         clients.append(client)
         network.add_process(client)
+    return servers, clients, detectors
 
+
+def build_scenario(config: ScenarioConfig) -> ScenarioRun:
+    """Construct (but do not run) the deployment described by ``config``."""
+    network = sim_network(config)
+    servers, clients, detectors = populate_group(config, network)
     network.start_all()
-
-    drivers: List[Any] = []
-    for index, client in enumerate(clients):
-        ops_rng = sim.child_rng(f"ops/{client.pid}")
-        ops = _make_ops(config, ops_rng)
-        if config.driver == "closed":
-            driver: Any = ClosedLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                think_time=config.think_time,
-                start_at=config.driver_start_at,
-            )
-        elif config.driver == "open":
-            driver = OpenLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                rate=config.open_rate,
-                rng=sim.child_rng(f"arrivals/{client.pid}"),
-                start_at=config.driver_start_at,
-            )
-        elif config.driver == "session":
-            bucket = (
-                TokenBucket(config.client_rate, burst=config.client_burst)
-                if config.client_rate is not None
-                else None
-            )
-            driver = SessionedOpenLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                arrival=(
-                    config.arrival
-                    if config.arrival is not None
-                    else PoissonProcess(config.open_rate)
-                ),
-                rng=sim.child_rng(f"arrivals/{client.pid}"),
-                n_sessions=config.n_sessions,
-                start_at=config.driver_start_at,
-                bucket=bucket,
-                measure_from=config.measure_from,
-            )
-        else:
-            raise ValueError(f"unknown driver kind: {config.driver}")
-        drivers.append(driver)
-
+    drivers = make_drivers(
+        config, network.sim, clients, lambda rng: _make_ops(config, rng)
+    )
     return ScenarioRun(
         config=config,
-        sim=sim,
+        sim=network.sim,
         network=network,
         servers=servers,
         clients=clients,

@@ -13,6 +13,7 @@ import random
 import time
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+from repro.sim.loop import seeded_rng
 from repro.sim.process import Process, ProcessEnv
 from repro.sim.trace import TraceLog
 
@@ -39,12 +40,13 @@ class AsyncioTimerHandle:
 
 
 class AsyncioEnv(ProcessEnv):
-    """ProcessEnv implementation backed by an :class:`AsyncioCluster`."""
+    """ProcessEnv implementation backed by a wall-clock cluster."""
 
-    def __init__(self, cluster: "AsyncioCluster", pid: str, seed: int) -> None:
+    def __init__(self, cluster: "WallClockHost", pid: str, seed: int) -> None:
         self._cluster = cluster
         self._pid = pid
-        self._rng = random.Random(f"{seed}/{pid}")
+        # The same stream the simulator gives the process.
+        self._rng = seeded_rng(seed, f"proc/{pid}")
 
     @property
     def pid(self) -> str:
@@ -94,7 +96,59 @@ class AsyncioEnv(ProcessEnv):
         self._cluster.trace.record(self._cluster.now, self._pid, kind, **fields)
 
 
-class AsyncioCluster:
+class WallClockHost:
+    """What every wall-clock cluster shares: the process table, the clock,
+    crash-stop, and polling for quiescence.  Subclasses add ``route``,
+    ``start`` and ``shutdown``."""
+
+    def __init__(self, seed: int, trace_level: str) -> None:
+        self.seed = seed
+        self.trace = TraceLog(level=trace_level)
+        self._processes: Dict[str, Process] = {}
+        self._crashed: set = set()
+        self._epoch = time.monotonic()
+
+    @property
+    def loop(self) -> asyncio.AbstractEventLoop:
+        return asyncio.get_event_loop()
+
+    @property
+    def now(self) -> float:
+        return time.monotonic() - self._epoch
+
+    @property
+    def pids(self) -> List[str]:
+        return list(self._processes)
+
+    def is_crashed(self, pid: str) -> bool:
+        return pid in self._crashed
+
+    def crash(self, pid: str) -> None:
+        if pid in self._crashed:
+            return
+        self._crashed.add(pid)
+        process = self._processes.get(pid)
+        if process is not None:
+            process.crashed = True
+            process.on_crash()
+        self.trace.record(self.now, pid, "crash")
+
+    async def run_until(
+        self,
+        predicate: Callable[[], bool],
+        timeout: float = 30.0,
+        poll: float = 0.002,
+    ) -> bool:
+        """Poll ``predicate`` until true or ``timeout`` wall-clock seconds."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if predicate():
+                return True
+            await asyncio.sleep(poll)
+        return predicate()
+
+
+class AsyncioCluster(WallClockHost):
     """Hosts processes on one asyncio event loop with queue transport.
 
     Usage::
@@ -112,27 +166,11 @@ class AsyncioCluster:
     def __init__(
         self, link_delay: float = 0.0, seed: int = 0, trace_level: str = "full"
     ) -> None:
+        super().__init__(seed, trace_level)
         self.link_delay = link_delay
-        self.seed = seed
-        self.trace = TraceLog(level=trace_level)
-        self._processes: Dict[str, Process] = {}
         self._inboxes: Dict[str, "asyncio.Queue[Tuple[str, Any]]"] = {}
         self._pumps: List[asyncio.Task] = []
-        self._crashed: set = set()
         self._started = False
-        self._epoch = time.monotonic()
-
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        return asyncio.get_event_loop()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._epoch
-
-    @property
-    def pids(self) -> List[str]:
-        return list(self._processes)
 
     def add_process(self, process: Process) -> None:
         if self._started:
@@ -141,19 +179,6 @@ class AsyncioCluster:
             raise ValueError(f"duplicate pid: {process.pid}")
         self._processes[process.pid] = process
         self._inboxes[process.pid] = asyncio.Queue()
-
-    def is_crashed(self, pid: str) -> bool:
-        return pid in self._crashed
-
-    def crash(self, pid: str) -> None:
-        if pid in self._crashed:
-            return
-        self._crashed.add(pid)
-        process = self._processes.get(pid)
-        if process is not None:
-            process.crashed = True
-            process.on_crash()
-        self.trace.record(self.now, pid, "crash")
 
     # ------------------------------------------------------------------
 
@@ -185,20 +210,6 @@ class AsyncioCluster:
             if pid in self._crashed:
                 continue
             process.on_message(src, payload)
-
-    async def run_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: float = 30.0,
-        poll: float = 0.002,
-    ) -> bool:
-        """Poll ``predicate`` until true or ``timeout`` wall-clock seconds."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            await asyncio.sleep(poll)
-        return predicate()
 
     async def shutdown(self) -> None:
         for pump in self._pumps:

@@ -3,10 +3,11 @@
 The simulator is the correctness oracle; this module is the proof that
 the *same* protocol objects -- ``OARServer``, ``ShardedOARClient``, the
 router, the replica-local read paths, the closed/open-loop drivers --
-run unmodified over real event loops and real sockets.  It mirrors
-:func:`repro.sharding.cluster.build_sharded_scenario` construction
-step for step, but hosts every process on an
-:class:`~repro.runtime.host.AsyncioCluster` or
+run unmodified over real event loops and real sockets.  It builds
+through the same sharded assembly as
+:func:`repro.sharding.cluster.build_sharded_scenario`
+(:func:`~repro.sharding.cluster.assemble_sharded`), but hosts every
+process on an :class:`~repro.runtime.host.AsyncioCluster` or
 :class:`~repro.runtime.tcp.TcpCluster` instead of a ``SimNetwork``.
 
 Two impedance mismatches are bridged here:
@@ -39,33 +40,22 @@ throughput story rather than an optional latency trade.
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.client import ShardedOARClient
 from repro.core.server import OARConfig, OARServer
-from repro.failure.detector import (
-    FailureDetector,
-    HeartbeatFailureDetector,
-    ScriptedFailureDetector,
-)
+from repro.failure.detector import HeartbeatFailureDetector
 from repro.runtime.host import AsyncioCluster
 from repro.runtime.tcp import TcpCluster
 from repro.sharding.cluster import (
     ShardedRun,
     ShardedScenarioConfig,
-    SHARDED_MACHINES,
-    WORKLOADS,
-    _key_universe,
-    _machine_class,
-    _make_machine,
-    _make_ops,
+    assemble_sharded,
+    start_sharded_drivers,
 )
-from repro.sharding.router import RoutingTable, make_router
-from repro.statemachine import SplittableMachine
-from repro.workload.drivers import ClosedLoopDriver, OpenLoopDriver
+from repro.workload.drivers import OpenLoopDriver
 
 BACKENDS = ("asyncio", "tcp")
 
@@ -125,14 +115,6 @@ class RuntimeScenarioConfig:
     #: (``None`` = flush at the turn boundary; throughput cells set a
     #: small window to trade per-hop latency for fewer syscalls).
     tcp_flush_interval: Optional[float] = None
-    #: Encode-once fan-out cache on the TCP transport; the perf
-    #: harness's pre-PR baseline disables it (the seed encoded per
-    #: send).
-    encode_cache: bool = True
-    #: Receive path on the TCP transport: ``True`` dispatches parsed
-    #: frames straight to the process; ``False`` restores the seed's
-    #: inbox-queue + pump-task shape (pre-PR baseline cell).
-    tcp_direct_dispatch: bool = True
     #: Alternative TCP cluster constructor (same keyword surface as
     #: :class:`TcpCluster`); the perf harness uses this to host the
     #: scenario on a reconstructed pre-PR transport for the baseline
@@ -205,10 +187,7 @@ class RuntimeShardedRun:
 
 def _scaled_oar(config: RuntimeScenarioConfig) -> OARConfig:
     """The scenario's OAR knobs, overridden and scaled to wall clock."""
-    scenario = config.scenario
-    oar = scenario.oar.with_exec_overrides(
-        scenario.exec_cost, scenario.exec_lanes
-    ).with_admission_overrides(scenario.admission_limit, scenario.read_queue_limit)
+    oar = config.scenario.server_oar()
     scale = config.time_scale
 
     def interval(value: Optional[float]) -> Optional[float]:
@@ -248,8 +227,6 @@ def _make_cluster(config: RuntimeScenarioConfig) -> Any:
             seed=scenario.seed,
             codec=config.codec,
             trace_level=trace_level,
-            encode_cache=config.encode_cache,
-            direct_dispatch=config.tcp_direct_dispatch,
             flush_interval=config.tcp_flush_interval,
             **kwargs,
         )
@@ -267,10 +244,6 @@ async def execute_runtime_scenario(
 ) -> RuntimeShardedRun:
     """Build, drive to quiescence, and tear down -- inside a running loop."""
     scenario = config.scenario
-    if scenario.machine not in SHARDED_MACHINES:
-        raise ValueError(f"unknown machine kind: {scenario.machine}")
-    if scenario.workload not in WORKLOADS:
-        raise ValueError(f"unknown workload: {scenario.workload}")
     if scenario.driver not in ("closed", "open"):
         raise ValueError(
             "runtime scenarios support the closed/open drivers "
@@ -281,135 +254,29 @@ async def execute_runtime_scenario(
             "link-fault injection is sim-only; runtime runs exercise "
             "real sockets (crash processes via cluster.crash instead)"
         )
+    if scenario.arm is not None:
+        raise ValueError(
+            "the arm hook is sim-only (it runs against a simulator run "
+            "before the simulation starts); drive a wall-clock run "
+            "through its cluster instead"
+        )
 
     cluster = _make_cluster(config)
-    scale = config.time_scale
-
-    key_universe = _key_universe(scenario)
-    router = make_router(scenario.router, scenario.n_shards, key_universe)
-    routing_table = RoutingTable(router)
-    accounts_by_shard = routing_table.placement(key_universe)
-
-    shard_groups = tuple(
-        tuple(f"s{shard}.p{i + 1}" for i in range(scenario.n_servers))
-        for shard in range(scenario.n_shards)
+    # Module globals looked up at call time, so instrumentation can
+    # substitute the detector and open-loop driver classes.
+    view = assemble_sharded(
+        scenario,
+        cluster,
+        None,
+        _scaled_oar(config),
+        config.fd_interval,
+        config.fd_timeout,
+        HeartbeatFailureDetector,
+        scale=config.time_scale,
     )
-
-    detectors: Dict[str, FailureDetector] = {}
-
-    def fd_factory(group: Tuple[str, ...]):
-        def build(host: Any) -> FailureDetector:
-            if scenario.fd_kind == "heartbeat":
-                detector: FailureDetector = HeartbeatFailureDetector(
-                    host,
-                    monitored=group,
-                    interval=config.fd_interval,
-                    timeout=config.fd_timeout,
-                )
-            elif scenario.fd_kind == "scripted":
-                detector = ScriptedFailureDetector()
-            else:
-                raise ValueError(f"unknown fd kind: {scenario.fd_kind}")
-            detectors[host.pid] = detector
-            return detector
-
-        return build
-
-    oar_config = _scaled_oar(config)
-    shards: List[List[OARServer]] = []
-    for shard, group in enumerate(shard_groups):
-        servers: List[OARServer] = []
-        for pid in group:
-            machine = _make_machine(scenario, accounts_by_shard[shard])
-            server = OARServer(pid, group, machine, fd_factory(group), oar_config)
-            servers.append(server)
-            cluster.add_process(server)
-        shards.append(servers)
-
-    machine_cls = _machine_class(scenario.machine)
-    read_mode = scenario.read_mode or scenario.oar.read_mode
-    clients: List[ShardedOARClient] = []
-    for index in range(scenario.n_clients):
-        client = ShardedOARClient(
-            f"c{index + 1}",
-            shard_groups,
-            routing_table.copy(),
-            key_extractor=machine_cls.keys_of,
-            tx_planner=machine_cls.tx_branches,
-            retry_interval=(
-                scenario.retry_interval * scale
-                if scenario.retry_interval is not None
-                else None
-            ),
-            route_authority=routing_table,
-            redirect_delay=scenario.redirect_delay * scale,
-            max_redirects=scenario.max_redirects,
-            read_mode=read_mode,
-            is_read_only=machine_cls.is_read_only,
-            load_half_life=(
-                scenario.load_half_life * scale
-                if scenario.load_half_life is not None
-                else None
-            ),
-            splitter=(
-                machine_cls
-                if issubclass(machine_cls, SplittableMachine)
-                else None
-            ),
-        )
-        clients.append(client)
-        cluster.add_process(client)
-
     await cluster.start()
-
-    # Drivers reuse the sim's classes verbatim over the wall-clock
-    # adapter; per-client op streams are seeded exactly like the sim's
-    # (same child-seed derivation would need a Simulator, so we derive
-    # from the scenario seed + pid directly -- determinism of the *op
-    # sequence* per client is what matters for reproducibility).
-    drivers: List[Any] = []
-    clock = _WallClock(cluster.loop, scale)
-    for client in clients:
-        ops_rng = random.Random(f"{scenario.seed}/ops/{client.pid}")
-        ops = _make_ops(scenario, ops_rng, key_universe, accounts_by_shard)
-        if scenario.driver == "closed":
-            driver: Any = ClosedLoopDriver(
-                clock,
-                client,
-                ops,
-                total=scenario.requests_per_client,
-                think_time=scenario.think_time,
-                start_at=scenario.driver_start_at,
-            )
-        else:
-            driver = OpenLoopDriver(
-                clock,
-                client,
-                ops,
-                total=scenario.requests_per_client,
-                rate=scenario.open_rate,
-                rng=random.Random(f"{scenario.seed}/arrivals/{client.pid}"),
-                start_at=scenario.driver_start_at,
-            )
-        drivers.append(driver)
-
-    initial_total = None
-    if scenario.machine == "bank" and scenario.workload != "hotkey":
-        initial_total = scenario.initial_balance * len(key_universe)
-
-    view = ShardedRun(
-        config=scenario,
-        sim=None,  # type: ignore[arg-type]  # checkers never touch it
-        network=cluster,  # type: ignore[arg-type]  # duck-typed: .trace
-        router=router,
-        routing_table=routing_table,
-        shard_groups=shard_groups,
-        shards=shards,
-        clients=clients,
-        drivers=drivers,
-        detectors=detectors,
-        key_universe=key_universe,
-        initial_total=initial_total,
+    start_sharded_drivers(
+        view, _WallClock(cluster.loop, config.time_scale), OpenLoopDriver
     )
     run = RuntimeShardedRun(config=config, cluster=cluster, view=view)
 

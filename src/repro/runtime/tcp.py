@@ -32,10 +32,6 @@ The receive side is symmetric: each accepted connection parses frames
 out of bulk socket reads and dispatches them *directly* to the process
 -- no inbox queue, no pump task -- so one coalesced chunk from a peer
 costs one event-loop wakeup (see ``_make_connection_handler``).
-``direct_dispatch=False`` restores the seed's receive shape (an inbox
-queue per process drained by a pump task, one queue put + one pump
-wakeup per frame) -- kept so the perf harness's pre-PR baseline cell
-measures the transport this PR actually replaced.
 
 A peer that died mid-connection is handled in the writer path: a send
 that finds its cached :class:`~asyncio.StreamWriter` closed (or takes
@@ -51,12 +47,11 @@ from __future__ import annotations
 import asyncio
 import struct
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.codec import make_codec
-from repro.runtime.host import AsyncioEnv
+from repro.runtime.host import AsyncioEnv, WallClockHost
 from repro.sim.process import Process
-from repro.sim.trace import TraceLog
 
 _HEADER = struct.Struct(">I")
 
@@ -73,7 +68,7 @@ class _TcpEnv(AsyncioEnv):
     """AsyncioEnv whose sends go through the TCP cluster."""
 
     def __init__(self, cluster: "TcpCluster", pid: str, seed: int) -> None:
-        super().__init__(cluster, pid, seed)  # type: ignore[arg-type]
+        super().__init__(cluster, pid, seed)
         self._tcp = cluster
 
     def send(self, dst: str, payload: Any) -> None:
@@ -103,10 +98,11 @@ class _Conn:
         self.failures = 0
 
 
-class TcpCluster:
+class TcpCluster(WallClockHost):
     """Hosts processes on localhost TCP sockets.
 
-    The API mirrors :class:`~repro.runtime.host.AsyncioCluster`:
+    The API is :class:`~repro.runtime.host.AsyncioCluster`'s (both
+    derive from :class:`~repro.runtime.host.WallClockHost`):
     ``add_process`` everything, ``await start()``, drive the scenario,
     ``await shutdown()``.
 
@@ -117,8 +113,7 @@ class TcpCluster:
     hot-path hazard the simulator solved in its perf overhaul);
     ``flush_bytes`` caps the coalescing buffer; ``flush_interval``
     widens the coalescing window across event-loop turns (see the
-    module docstring); ``direct_dispatch=False`` selects the seed's
-    inbox-queue + pump-task receive path (see the module docstring).
+    module docstring).
     """
 
     def __init__(
@@ -127,25 +122,16 @@ class TcpCluster:
         codec: Any = "binary",
         trace_level: str = "full",
         flush_bytes: int = _DEFAULT_FLUSH_BYTES,
-        encode_cache: bool = True,
-        direct_dispatch: bool = True,
         flush_interval: Optional[float] = None,
     ) -> None:
-        self.seed = seed
+        super().__init__(seed, trace_level)
         self.codec = make_codec(codec)
-        self.trace = TraceLog(level=trace_level)
         self.flush_bytes = flush_bytes
         self.flush_interval = flush_interval
-        self.encode_cache = encode_cache
-        self.direct_dispatch = direct_dispatch
-        self._inboxes: Dict[str, asyncio.Queue] = {}
-        self._processes: Dict[str, Process] = {}
         self._servers: Dict[str, asyncio.AbstractServer] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._conns: Dict[Tuple[str, str], _Conn] = {}
         self._tasks: List[asyncio.Task] = []
-        self._crashed: set = set()
-        self._epoch = time.monotonic()
         self._stats: Dict[str, int] = {
             "frames_sent": 0,
             "frames_received": 0,
@@ -161,35 +147,12 @@ class TcpCluster:
         self._enc_obj: Any = None
         self._enc_frame: bytes = b""
 
-    # -- interface shared with AsyncioCluster (used by AsyncioEnv) -----
-
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        return asyncio.get_event_loop()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._epoch
-
-    @property
-    def pids(self) -> List[str]:
-        return list(self._processes)
-
-    def is_crashed(self, pid: str) -> bool:
-        return pid in self._crashed
-
     def crash(self, pid: str) -> None:
-        if pid in self._crashed:
-            return
-        self._crashed.add(pid)
-        process = self._processes.get(pid)
-        if process is not None:
-            process.crashed = True
-            process.on_crash()
+        super().crash(pid)
+        # A crashed process stops accepting connections.
         server = self._servers.pop(pid, None)
         if server is not None:
             server.close()
-        self.trace.record(self.now, pid, "crash")
 
     def stats(self) -> Dict[str, int]:
         """Transport counters (frames, bytes, flushes, reconnects)."""
@@ -215,22 +178,8 @@ class TcpCluster:
             self._servers[pid] = server
             address = server.sockets[0].getsockname()
             self._addresses[pid] = (address[0], address[1])
-        if not self.direct_dispatch:
-            for pid in self._processes:
-                inbox: asyncio.Queue = asyncio.Queue()
-                self._inboxes[pid] = inbox
-                self._track(asyncio.ensure_future(self._pump(pid, inbox)))
         for pid, process in self._processes.items():
             process.start(_TcpEnv(self, pid, self.seed))
-
-    async def _pump(self, pid: str, inbox: "asyncio.Queue") -> None:
-        """Seed receive shape: drain an inbox queue one frame at a time."""
-        process = self._processes[pid]
-        crashed = self._crashed
-        while True:
-            src, payload = await inbox.get()
-            if pid not in crashed:
-                process.on_message(src, payload)
 
     def _make_connection_handler(self, pid: str):
         decode_frame = self.codec.decode_frame
@@ -251,7 +200,6 @@ class TcpCluster:
             # deliveries remain one at a time per process, in
             # per-channel FIFO order (TCP + in-order parse).
             process = self._processes[pid]
-            inbox = self._inboxes.get(pid)  # None on the direct path
             crashed = self._crashed
             stats = self._stats
             buf = bytearray()
@@ -274,10 +222,7 @@ class TcpCluster:
                         pos = frame_end
                         stats["frames_received"] += 1
                         if pid not in crashed:
-                            if inbox is None:
-                                process.on_message(src, payload)
-                            else:
-                                inbox.put_nowait((src, payload))
+                            process.on_message(src, payload)
                     if pos:
                         del buf[:pos]
             except (ConnectionResetError, asyncio.CancelledError):
@@ -302,10 +247,9 @@ class TcpCluster:
         else:
             body = self.codec.encode_frame(src, payload)
             frame = _HEADER.pack(len(body)) + body
-            if self.encode_cache:
-                self._enc_src = src
-                self._enc_obj = payload
-                self._enc_frame = frame
+            self._enc_src = src
+            self._enc_obj = payload
+            self._enc_frame = frame
         key = (src, dst)
         conn = self._conns.get(key)
         if conn is None:
@@ -409,19 +353,6 @@ class TcpCluster:
             conn.draining = False
 
     # ------------------------------------------------------------------
-
-    async def run_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: float = 30.0,
-        poll: float = 0.002,
-    ) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            await asyncio.sleep(poll)
-        return predicate()
 
     async def shutdown(self) -> None:
         # Flush any frames still sitting in coalescing buffers so that

@@ -27,35 +27,27 @@ different shards are independent, which is exactly why throughput scales
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis import checkers
-from repro.core.admission import TokenBucket
 from repro.core.client import ShardedOARClient
 from repro.core.server import OARConfig, OARServer
-from repro.failure.detector import (
-    FailureDetector,
-    HeartbeatFailureDetector,
-    ScriptedFailureDetector,
+from repro.failure.detector import FailureDetector, HeartbeatFailureDetector
+from repro.harness.deployment import (
+    MACHINE_CLASSES,
+    DeploymentConfig,
+    DeploymentRun,
+    detector_factory,
+    make_drivers,
+    make_machine,
+    sim_network,
 )
-from repro.faults.injection import FaultSchedule
 from repro.sharding.router import RoutingTable, ShardRouter, make_router
-from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
-from repro.sim.process import Process
-from repro.sim.trace import TraceLog
-from repro.statemachine import (
-    BankMachine,
-    CounterMachine,
-    KVStoreMachine,
-    SplittableMachine,
-    StackMachine,
-    StateMachine,
-)
-from repro.workload.drivers import ClosedLoopDriver, OpenLoopDriver
-from repro.workload.openloop import PoissonProcess, SessionedOpenLoopDriver
+from repro.statemachine import SplittableMachine
+from repro.workload.drivers import OpenLoopDriver
 from repro.workload.generators import (
     counter_ops,
     cross_shard_bank_ops,
@@ -78,16 +70,19 @@ MIGRATABLE_MACHINES = ("kv", "bank")
 
 
 @dataclass
-class ShardedScenarioConfig:
-    """Everything needed to reproduce one sharded experiment run."""
+class ShardedScenarioConfig(DeploymentConfig):
+    """Everything needed to reproduce one sharded experiment run.
+
+    The shared fields (sizes, machine, latency, failure detector, ``oar``
+    knobs, drivers, faults, budgets, trace) are documented on
+    :class:`~repro.harness.deployment.DeploymentConfig`; ``n_servers``
+    counts replicas *per shard*.
+    """
 
     n_shards: int = 2
-    n_servers: int = 3  #: replicas *per shard*
     n_clients: int = 2
-    requests_per_client: int = 20
     machine: str = "kv"
     router: str = "hash"  #: "hash" or "range"
-    seed: int = 0
 
     #: Workload family: "uniform" (kv over a flat key universe), "zipf"
     #: (kv, skewed), "hotshift" (kv, skewed with a hotspot that moves
@@ -101,23 +96,12 @@ class ShardedScenarioConfig:
     #: conserved-total checks for ``check_fragment_conservation``).
     workload: str = "uniform"
     n_keys: int = 32
-    zipf_s: float = 1.2
     shift_every: int = 150
     cross_ratio: float = 0.3
     read_ratio: float = 0.9
     hot_ratio: float = 0.8
     accounts_per_shard: int = 4
     initial_balance: int = 1_000
-
-    #: How clients execute read-only operations: None defers to
-    #: ``oar.read_mode`` ("sequencer" orders reads like writes;
-    #: "optimistic" / "conservative" answer replica-locally).
-    read_mode: Optional[str] = None
-
-    #: Replica execution service model overrides: None defers to
-    #: ``oar.exec_cost`` / ``oar.exec_lanes`` (free inline execution).
-    exec_cost: Optional[float] = None
-    exec_lanes: Optional[int] = None
 
     #: Half-life of the clients' per-key load counters (the rebalance
     #: planner's statistic); None disables decay (all-time totals).
@@ -131,62 +115,17 @@ class ShardedScenarioConfig:
     #: error is surfaced as a terminal adoption.
     max_redirects: int = 100
 
-    latency: Optional[LatencyModel] = None
-    fd_kind: str = "heartbeat"
-    fd_interval: float = 5.0
-    fd_timeout: float = 15.0
-    oar: OARConfig = field(default_factory=OARConfig)
-
-    driver: str = "closed"
-    open_rate: float = 0.2
-    think_time: float = 0.0
-    #: Simulated time at which the drivers begin submitting.  A warm-up
-    #: window lets pre-arranged topology work (scheduled migrations or
-    #: key splits via ``arm``) commit before traffic measures against
-    #: it, instead of queueing stale-routed requests behind the change.
-    driver_start_at: float = 0.0
-    retry_interval: Optional[float] = None
-
-    #: "session" driver knobs (the overload harness, see
-    #: ``repro.workload.openloop``): the arrival process (None = Poisson
-    #: at ``open_rate``), sessions per client, the client-side token
-    #: bucket (``client_rate`` None disables throttling), and the
-    #: warm-up cut for the latency recorder.
-    arrival: Optional[Any] = None
-    n_sessions: int = 64
-    client_rate: Optional[float] = None
-    client_burst: float = 8.0
-    measure_from: float = 0.0
-    #: Admission-control overrides: None defers to the ``oar`` config
-    #: (default: disabled; see ``OARConfig.admission_limit``).
-    admission_limit: Optional[int] = None
-    read_queue_limit: Optional[int] = None
-
-    fault_schedule: Optional[FaultSchedule] = None
-
-    #: Link-fault-plane installer; called with the built
-    #: :class:`~repro.sim.network.SimNetwork` right after construction.
-    faults: Optional[Callable[[SimNetwork], None]] = None
-
-    arm: Optional[Callable[["ShardedRun"], None]] = None
-
     horizon: float = 20_000.0
     max_events: int = 4_000_000
-    grace: float = 50.0
-    trace_messages: bool = False
-    #: "full" keeps the checker-grade protocol trace; "off" disables all
-    #: tracing (zero-waste mode for throughput/soak runs -- ``check_all``
-    #: needs "full").
-    trace_level: str = "full"
-
-    def with_changes(self, **changes: Any) -> "ShardedScenarioConfig":
-        """A copy of this config with some fields replaced."""
-        return replace(self, **changes)
 
 
 @dataclass
-class ShardedRun:
-    """A built (and, after ``execute``, completed) sharded deployment."""
+class ShardedRun(DeploymentRun):
+    """A built (and, after ``execute``, completed) sharded deployment.
+
+    On a wall-clock host (:mod:`repro.runtime.scenario`) ``network`` is
+    the live cluster and ``sim`` is None.
+    """
 
     config: ShardedScenarioConfig
     sim: Simulator
@@ -199,14 +138,12 @@ class ShardedRun:
     drivers: List[Any]
     detectors: Dict[str, FailureDetector]
     key_universe: Tuple[str, ...]
+    #: The epoch-0 keys of each shard (the base router's placement).
+    initial_placement: Tuple[Tuple[str, ...], ...]
     initial_total: Optional[int]  #: bank only: conserved money supply
     #: Rebalance coordinators attached to this run (see
     #: :func:`~repro.sharding.rebalance.attach_rebalancer`).
     rebalancers: List[Any] = field(default_factory=list)
-
-    @property
-    def trace(self) -> TraceLog:
-        return self.network.trace
 
     @property
     def servers(self) -> List[OARServer]:
@@ -217,86 +154,15 @@ class ShardedRun:
     def client_pids(self) -> List[str]:
         return [client.pid for client in self.clients]
 
-    def correct_servers(self, shard: int) -> List[OARServer]:
+    def correct_servers(self, shard: int) -> List[OARServer]:  # type: ignore[override]
+        """One shard's live servers (a method here: it takes the shard)."""
         return [s for s in self.shards[shard] if not s.crashed]
-
-    def submitted_rids(self) -> List[str]:
-        """Logical submissions (cross-shard txids count once)."""
-        return [rid for driver in self.drivers for rid in driver.submitted]
-
-    def adopted(self) -> Dict[str, Any]:
-        merged: Dict[str, Any] = {}
-        for client in self.clients:
-            merged.update(client.adopted)
-        return merged
-
-    def latencies(self) -> List[float]:
-        """Client-perceived logical latencies (whole transactions)."""
-        return [adopted.latency for adopted in self.adopted().values()]
-
-    def all_done(self) -> bool:
-        """Drivers finished, rebalancers drained, exec lanes drained.
-
-        A *crashed* coordinator never drains; it is excluded so a
-        coordinator-crash scenario still reaches quiescence (its
-        stranded migrations are the recovery coordinator's job).
-        Likewise crashed replicas never drain their execution lanes
-        (crash-stop suppresses their timers) and are excluded.
-        """
-        if not all(driver.done for driver in self.drivers):
-            return False
-        if not all(
-            coordinator.done
-            for coordinator in self.rebalancers
-            if not coordinator.client.crashed
-        ):
-            return False
-        return not any(
-            server.exec_backlog for server in self.servers if not server.crashed
-        )
 
     def routed_to(self, shard: int) -> List[str]:
         """Physical rids (ops and tx branches) routed to one shard."""
         return [
             rid for client in self.clients for rid in client.routed_to(shard)
         ]
-
-    # ------------------------------------------------------------------
-
-    def execute(self) -> "ShardedRun":
-        """Run to quiescence (+ grace period); returns self for chaining."""
-        config = self.config
-        if config.fault_schedule is not None:
-            config.fault_schedule.apply(
-                self.network, list(self.detectors.values())
-            )
-        if config.arm is not None:
-            config.arm(self)
-        deadline = config.horizon
-        sim = self.sim
-        drivers = self.drivers
-        rebalancers = self.rebalancers
-        servers = self.servers
-
-        def finished() -> bool:
-            # Horizon first: one float compare vs a sweep over every
-            # driver, and this predicate runs after every event.
-            if sim._now >= deadline:
-                return True
-            for driver in drivers:
-                if not driver.done:
-                    return False
-            for coordinator in rebalancers:
-                if not coordinator.done and not coordinator.client.crashed:
-                    return False
-            for server in servers:
-                if not server.crashed and server.exec_backlog:
-                    return False
-            return True
-
-        sim.run_until(finished, max_events=config.max_events)
-        sim.run(until=sim.now + config.grace, max_events=config.max_events)
-        return self
 
     # ------------------------------------------------------------------
     # Checker bundle
@@ -314,7 +180,6 @@ class ShardedRun:
         client_pids = self.client_pids + [
             coordinator.client.pid for coordinator in self.rebalancers
         ]
-        initial_placement = self.router.placement(self.key_universe)
         # Shed requests were routed but deterministically refused (never
         # ordered); they are exempt from delivery-based properties.
         shed_rids: set = set()
@@ -338,7 +203,11 @@ class ShardedRun:
             checkers.check_read_consistency(
                 self.trace,
                 servers,
-                lambda s=shard: _make_machine(self.config, initial_placement[s]),
+                lambda s=shard: make_machine(
+                    self.config.machine,
+                    self.initial_placement[s],
+                    self.config.initial_balance,
+                ),
                 shard=shard,
             )
         checkers.check_cross_shard_atomicity(
@@ -354,26 +223,26 @@ class ShardedRun:
             self.clients,
             self.drivers,
         )
+        # A coordinator crash strands its migrations without making the
+        # run non-quiescent (all_done excludes crashed coordinators), so
+        # completeness claims only hold once every journal record is
+        # terminal -- recovery coordinators drive the *same* record
+        # objects to terminal, so this settles after a successful
+        # resume.  Until then the checkers run in safety-only mode
+        # (stranded is incomplete, not non-atomic).
+        settled = quiescent and all(
+            record.terminal
+            for coordinator in self.rebalancers
+            for record in coordinator.journal
+        )
         if self.config.machine in MIGRATABLE_MACHINES:
-            # A coordinator crash strands its migrations without making
-            # the run non-quiescent (all_done excludes crashed
-            # coordinators), so completeness claims only hold once every
-            # journal record is terminal -- recovery coordinators drive
-            # the *same* record objects to terminal, so this settles
-            # after a successful resume.  Until then the checker runs in
-            # safety-only mode (stranded is incomplete, not non-atomic).
-            migrations_settled = all(
-                record.terminal
-                for coordinator in self.rebalancers
-                for record in coordinator.journal
-            )
             checkers.check_migration_atomicity(
                 self.trace,
                 self.shards,
                 self.routing_table,
                 self.key_universe,
                 expected_total=self.initial_total,
-                quiescent=quiescent and migrations_settled,
+                quiescent=settled,
             )
         if self.config.machine == "bank":
             # Hot-key splitting: every account that was ever split must
@@ -388,12 +257,7 @@ class ShardedRun:
                     account: self.config.initial_balance
                     for account in self.key_universe
                 },
-                quiescent=quiescent
-                and all(
-                    record.terminal
-                    for coordinator in self.rebalancers
-                    for record in coordinator.journal
-                ),
+                quiescent=settled,
             )
 
 
@@ -406,37 +270,6 @@ def _key_universe(config: ShardedScenarioConfig) -> Tuple[str, ...]:
         count = config.accounts_per_shard * config.n_shards
         return tuple(f"a{i:03d}" for i in range(count))
     return tuple(f"k{i:03d}" for i in range(config.n_keys))
-
-
-def _machine_class(kind: str) -> type:
-    return {
-        "kv": KVStoreMachine,
-        "bank": BankMachine,
-        "counter": CounterMachine,
-        "stack": StackMachine,
-    }[kind]
-
-
-def _make_machine(
-    config: ShardedScenarioConfig, placed_keys: Tuple[str, ...]
-) -> StateMachine:
-    """One shard's replica state machine; ``placed_keys`` is the shard's
-    epoch-0 key ownership (migratable machines enforce it and support
-    live migration; keyless machines ignore placement)."""
-    if config.machine == "kv":
-        return KVStoreMachine(owned=placed_keys)
-    if config.machine == "bank":
-        return BankMachine(
-            {account: config.initial_balance for account in placed_keys},
-            owned=placed_keys,
-        )
-    if config.machine == "counter":
-        return CounterMachine()
-    if config.machine == "stack":
-        return StackMachine()
-    raise ValueError(
-        f"unknown machine kind: {config.machine} (choose from {SHARDED_MACHINES})"
-    )
 
 
 def _make_ops(
@@ -477,8 +310,25 @@ def _make_ops(
     return kv_ops(rng, keys=key_universe)
 
 
-def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
-    """Construct (but do not run) the sharded deployment."""
+def assemble_sharded(
+    config: ShardedScenarioConfig,
+    host: Any,
+    sim: Optional[Simulator],
+    oar_config: OARConfig,
+    fd_interval: float,
+    fd_timeout: float,
+    heartbeat: type,
+    scale: float = 1.0,
+) -> ShardedRun:
+    """Add the servers, then the clients, of ``config`` to ``host``.
+
+    The one sharded construction path, on the simulator and on a wall
+    clock alike.  It returns the run with no drivers: the caller starts
+    ``host`` and then calls :func:`start_sharded_drivers`.  ``scale``
+    multiplies the clients' time-valued knobs (wall-clock seconds per
+    scenario unit); ``oar_config`` and the detector timing arrive
+    already in the host's time unit.
+    """
     if config.machine not in SHARDED_MACHINES:
         raise ValueError(
             f"unknown machine kind: {config.machine} "
@@ -493,63 +343,38 @@ def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
     if config.workload == "hotkey" and config.machine != "bank":
         raise ValueError("the hot-key workload requires the bank machine")
 
-    sim = Simulator(seed=config.seed)
-    latency = config.latency if config.latency is not None else ConstantLatency(1.0)
-    network = SimNetwork(
-        sim,
-        latency=latency,
-        trace_messages=config.trace_messages,
-        trace_level=config.trace_level,
-    )
-    if config.faults is not None:
-        config.faults(network)
-
     key_universe = _key_universe(config)
     router = make_router(config.router, config.n_shards, key_universe)
     # The authoritative epoched routing view: identical to the base
     # router at epoch 0; live rebalancing overlays key moves on it.
     routing_table = RoutingTable(router)
-    accounts_by_shard = routing_table.placement(key_universe)
+    placement = routing_table.placement(key_universe)
 
     shard_groups = tuple(
         tuple(f"s{shard}.p{i + 1}" for i in range(config.n_servers))
         for shard in range(config.n_shards)
     )
-
     detectors: Dict[str, FailureDetector] = {}
+    fd_factory = detector_factory(
+        detectors, config.fd_kind, fd_interval, fd_timeout, heartbeat
+    )
 
-    def fd_factory(group: Tuple[str, ...]) -> Callable[[Process], FailureDetector]:
-        def build(host: Process) -> FailureDetector:
-            if config.fd_kind == "heartbeat":
-                detector: FailureDetector = HeartbeatFailureDetector(
-                    host,
-                    monitored=group,
-                    interval=config.fd_interval,
-                    timeout=config.fd_timeout,
-                )
-            elif config.fd_kind == "scripted":
-                detector = ScriptedFailureDetector()
-            else:
-                raise ValueError(f"unknown fd kind: {config.fd_kind}")
-            detectors[host.pid] = detector
-            return detector
-
-        return build
-
-    oar_config = config.oar.with_exec_overrides(
-        config.exec_cost, config.exec_lanes
-    ).with_admission_overrides(config.admission_limit, config.read_queue_limit)
     shards: List[List[OARServer]] = []
     for shard, group in enumerate(shard_groups):
         servers: List[OARServer] = []
         for pid in group:
-            machine = _make_machine(config, accounts_by_shard[shard])
+            machine = make_machine(
+                config.machine, placement[shard], config.initial_balance
+            )
             server = OARServer(pid, group, machine, fd_factory(group), oar_config)
             servers.append(server)
-            network.add_process(server)
+            host.add_process(server)
         shards.append(servers)
 
-    machine_cls = _machine_class(config.machine)
+    def scaled(value: Optional[float]) -> Optional[float]:
+        return None if value is None else value * scale
+
+    machine_cls = MACHINE_CLASSES[config.machine]
     read_mode = config.read_mode or config.oar.read_mode
     clients: List[ShardedOARClient] = []
     for index in range(config.n_clients):
@@ -561,13 +386,13 @@ def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
             routing_table.copy(),
             key_extractor=machine_cls.keys_of,
             tx_planner=machine_cls.tx_branches,
-            retry_interval=config.retry_interval,
+            retry_interval=scaled(config.retry_interval),
             route_authority=routing_table,
-            redirect_delay=config.redirect_delay,
+            redirect_delay=scaled(config.redirect_delay),
             max_redirects=config.max_redirects,
             read_mode=read_mode,
             is_read_only=machine_cls.is_read_only,
-            load_half_life=config.load_half_life,
+            load_half_life=scaled(config.load_half_life),
             splitter=(
                 machine_cls
                 if issubclass(machine_cls, SplittableMachine)
@@ -575,58 +400,7 @@ def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
             ),
         )
         clients.append(client)
-        network.add_process(client)
-
-    network.start_all()
-
-    drivers: List[Any] = []
-    for client in clients:
-        ops_rng = sim.child_rng(f"ops/{client.pid}")
-        ops = _make_ops(config, ops_rng, key_universe, accounts_by_shard)
-        if config.driver == "closed":
-            driver: Any = ClosedLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                think_time=config.think_time,
-                start_at=config.driver_start_at,
-            )
-        elif config.driver == "open":
-            driver = OpenLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                rate=config.open_rate,
-                rng=sim.child_rng(f"arrivals/{client.pid}"),
-                start_at=config.driver_start_at,
-            )
-        elif config.driver == "session":
-            bucket = (
-                TokenBucket(config.client_rate, burst=config.client_burst)
-                if config.client_rate is not None
-                else None
-            )
-            driver = SessionedOpenLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                arrival=(
-                    config.arrival
-                    if config.arrival is not None
-                    else PoissonProcess(config.open_rate)
-                ),
-                rng=sim.child_rng(f"arrivals/{client.pid}"),
-                n_sessions=config.n_sessions,
-                start_at=config.driver_start_at,
-                bucket=bucket,
-                measure_from=config.measure_from,
-            )
-        else:
-            raise ValueError(f"unknown driver kind: {config.driver}")
-        drivers.append(driver)
+        host.add_process(client)
 
     initial_total = None
     if config.machine == "bank" and config.workload != "hotkey":
@@ -637,18 +411,52 @@ def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
 
     return ShardedRun(
         config=config,
-        sim=sim,
-        network=network,
+        sim=sim,  # type: ignore[arg-type]  # None on a wall clock
+        network=host,
         router=router,
         routing_table=routing_table,
         shard_groups=shard_groups,
         shards=shards,
         clients=clients,
-        drivers=drivers,
+        drivers=[],
         detectors=detectors,
         key_universe=key_universe,
+        initial_placement=placement,
         initial_total=initial_total,
     )
+
+
+def start_sharded_drivers(
+    run: ShardedRun, clock: Any, open_loop: type = OpenLoopDriver
+) -> None:
+    """Give every client of a started ``run`` its driver on ``clock``."""
+    run.drivers = make_drivers(
+        run.config,
+        clock,
+        run.clients,
+        lambda rng: _make_ops(
+            run.config, rng, run.key_universe, run.initial_placement
+        ),
+        open_loop,
+    )
+
+
+def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
+    """Construct (but do not run) the sharded deployment."""
+    network = sim_network(config)
+    run = assemble_sharded(
+        config,
+        network,
+        network.sim,
+        config.server_oar(),
+        config.fd_interval,
+        config.fd_timeout,
+        # Looked up at call time: instrumentation may substitute it.
+        HeartbeatFailureDetector,
+    )
+    network.start_all()
+    start_sharded_drivers(run, network.sim)
+    return run
 
 
 def run_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:

@@ -74,6 +74,7 @@ from typing import (
 )
 
 from repro.core.client import AdoptedReply, ShardedOARClient
+from repro.harness.deployment import MACHINE_CLASSES
 from repro.sharding.router import RoutingTable
 from repro.statemachine.base import OpResult, SplittableMachine
 
@@ -972,9 +973,7 @@ def attach_rebalancer(
         ShardedScenarioConfig(..., arm=lambda run: attach_rebalancer(
             run, start_at=150.0))
     """
-    from repro.sharding.cluster import _machine_class
-
-    machine_cls = _machine_class(run.config.machine)
+    machine_cls = MACHINE_CLASSES[run.config.machine]
     client = ShardedOARClient(
         pid,
         run.shard_groups,

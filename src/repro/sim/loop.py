@@ -61,6 +61,16 @@ _FastEntry = Union[Callable[[], None], "TimerHandle"]
 _COMPACT_MIN = 64
 
 
+def seeded_rng(seed: int, name: str) -> random.Random:
+    """The generator for stream ``name`` of a run seeded with ``seed``.
+
+    The one derivation every seeded stream uses (simulator components
+    and workload drivers, on the simulator and on a wall clock alike),
+    so a stream's draws depend only on the seed and its name.
+    """
+    return random.Random(f"{seed}/{name}")
+
+
 class TimerHandle:
     """A cancellable handle for a scheduled event.
 
@@ -179,7 +189,7 @@ class Simulator:
         each use their own child generator so their draws do not perturb
         each other across configuration changes.
         """
-        return random.Random(f"{self._seed}/{name}")
+        return seeded_rng(self._seed, name)
 
     # ------------------------------------------------------------------
     # Scheduling: cancellable timers

@@ -110,6 +110,19 @@ class TestShardedParity:
                 RuntimeScenarioConfig(scenario=_config(), backend="carrier-pigeon")
             )
 
+    def test_arm_hook_is_rejected(self):
+        """``arm`` runs against a simulator run before it starts; a
+        wall-clock run has no such moment, so it refuses the hook
+        instead of silently never calling it."""
+        called = []
+        with pytest.raises(ValueError, match="arm hook is sim-only"):
+            run_runtime_scenario(
+                RuntimeScenarioConfig(
+                    scenario=_config(arm=called.append), backend="asyncio"
+                )
+            )
+        assert called == []
+
 
 class _Recorder(Process):
     def __init__(self, pid: str) -> None:
@@ -255,40 +268,3 @@ class TestTransport:
             return stats["flushes"] - baseline
 
         assert asyncio.run(scenario()) == 1
-
-    def test_pump_receive_path_delivers_and_reaches_quiescence(self):
-        """``direct_dispatch=False`` (the seed's inbox-queue + pump-task
-        receive shape, kept for the wall-clock baseline cell) still
-        delivers every frame and completes a full sharded run."""
-
-        async def scenario():
-            cluster = TcpCluster(trace_level="off", direct_dispatch=False)
-            a, b = _Recorder("a"), _Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            for index in range(10):
-                a.env.send("b", index)
-            delivered = await cluster.run_until(
-                lambda: len(b.received) == 10, timeout=5
-            )
-            await cluster.shutdown()
-            return delivered, [payload for _src, payload in b.received]
-
-        delivered, payloads = asyncio.run(scenario())
-        assert delivered
-        assert payloads == list(range(10))  # per-channel FIFO survives
-
-        run = run_runtime_scenario(
-            RuntimeScenarioConfig(
-                scenario=_config(),
-                backend="tcp",
-                codec="pickle",
-                flush_bytes=1,
-                encode_cache=False,
-                tcp_batch_interval=None,
-                tcp_direct_dispatch=False,
-            )
-        )
-        assert run.completed
-        run.check_all()

@@ -88,6 +88,18 @@ class TestScenarioConfig:
         assert len(run.latencies()) == 3
         assert len(run.submitted_rids()) == 3
 
+    def test_latencies_do_not_need_the_trace(self):
+        # Latencies come from the adopted replies, so a run with tracing
+        # off reports one per adopted operation.
+        run = run_scenario(
+            ScenarioConfig(n_clients=2, requests_per_client=10, trace_level="off")
+        )
+        assert len(run.adopted()) == 20
+        assert sorted(run.latencies()) == sorted(
+            reply.latency for reply in run.adopted().values()
+        )
+        assert len(run.latencies()) == 20
+
 
 class TestComponentDispatch:
     class PingComponent(Component):
