@@ -41,9 +41,7 @@ def arm_for(protocol: str, n_servers: int):
             counter["n"] += 1
             return counter["n"] > threshold
 
-        crash_during_multicast(
-            run.network, "p1", match, deliver_to=set(), crash=True
-        )
+        crash_during_multicast(run.network, "p1", match, deliver_to=set())
 
     return arm
 

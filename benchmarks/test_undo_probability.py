@@ -46,9 +46,7 @@ def make_config(condition: str, seed: int) -> ScenarioConfig:
                 counter["n"] += 1
                 return counter["n"] > 2 * 3  # lose the 3rd ordering multicast
 
-            crash_during_multicast(
-                run.network, "p1", match, deliver_to={"p2"}, crash=True
-            )
+            crash_during_multicast(run.network, "p1", match, deliver_to={"p2"})
 
     if condition == "partial+isolated":
         # The isolation starts well after the partial multicast (~t=9)

@@ -1100,16 +1100,21 @@ _FAULT_TRACE_KINDS = (
 def check_fault_plane_accounting(trace: TraceLog, network: Any) -> Dict[str, int]:
     """Every injected link fault is traced and accounted for.
 
-    Three families of assertion, all on quiescent runs:
+    The :class:`~repro.sim.faultplane.FaultPlane` is the one place a
+    message is held or dropped, so this covers random link faults,
+    partitions, one-way blocks and scripted drops (a sequencer crashing
+    mid-multicast) alike.  Three families of assertion, all on quiescent
+    runs:
 
     * **Counter/trace agreement** -- each fault counter on the installed
-      :class:`~repro.sim.faultplane.FaultPlane` equals the number of its
-      trace events (a fault can never be injected silently), and held
-      messages are exactly the released ones plus the still-held ones.
+      plane equals the number of its trace events (a fault can never be
+      injected silently), the ``heal``/``heal_storm`` events account for
+      every released message, and held messages are exactly the
+      released ones plus the still-held ones.
     * **Nothing applied corrupt** -- every corrupted payload was either
       detected-and-dropped at delivery (``msg_corrupt_drop``) or is
-      still held (one-way block or partition); re-verifies the checksum
-      of every held envelope to prove it.
+      still held or in flight; re-verifies the checksum of every such
+      envelope to prove it.
     * **Duplicates never double-execute** -- no server R-delivers (and
       therefore executes) the same rid twice, no matter how many copies
       the links produced.  Checked whether or not a plane is installed.
@@ -1166,12 +1171,13 @@ def check_fault_plane_accounting(trace: TraceLog, network: Any) -> Dict[str, int
                     f"but {traced} {kind!r} trace events"
                 )
         released = sum(
-            event["released"] for event in trace.events(kind="heal_storm")
+            event["released"]
+            for event in trace.events_of_kinds(("heal", "heal_storm"))
         )
         if stats["released"] != released:
             raise CheckFailure(
                 f"fault accounting: released={stats['released']} but "
-                f"heal_storm events account for {released}"
+                f"heal events account for {released}"
             )
         traced_drops = len(trace.events(kind="msg_corrupt_drop"))
         if corrupt_dropped != traced_drops:
@@ -1192,11 +1198,7 @@ def check_fault_plane_accounting(trace: TraceLog, network: Any) -> Dict[str, int
     from repro.sim.faultplane import wire_checksum
 
     undelivered_corrupt = 0
-    undelivered = (
-        list(plane.held_envelopes())
-        + list(network._held)
-        + list(network.in_flight_checksummed())
-    )
+    undelivered = plane.held_envelopes() + list(network.in_flight_checksummed())
     for envelope in undelivered:
         if (
             envelope.checksum is not None

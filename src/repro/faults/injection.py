@@ -5,8 +5,8 @@ interesting runs all hinge on a process crashing *partway through* a
 multicast -- the sequencer's ordering message reaching only some replicas
 (Figures 3, 4) or nobody (Figure 1(b)).  A multicast in this codebase is a
 plain loop of sends (see :meth:`repro.sim.process.ProcessEnv.send_to_all`),
-so an interceptor can deliver the message to a chosen subset and then
-crash the sender the instant the handler finishes.
+so a fault-plane hook can drop the message to all but a chosen subset
+and then crash the sender the instant the handler finishes.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Set
 
+from repro.sim.faultplane import DROP
 from repro.sim.network import SimNetwork
 
 #: Predicate over message payloads selecting the multicast to disrupt.
@@ -22,13 +23,14 @@ PayloadMatch = Callable[[Any], bool]
 
 
 class CrashDuringMulticast:
-    """Interceptor: crash ``sender`` mid-multicast of a matching message.
+    """Fault-plane hook: crash ``sender`` mid-multicast of a matching message.
 
-    Once armed, the first send from ``sender`` whose payload satisfies
-    ``match`` triggers: sends of that payload to destinations outside
-    ``deliver_to`` are dropped, and the sender is crashed as soon as the
-    current event (the multicast loop) completes -- messages to the
-    allowed destinations are already in flight, everything later is lost.
+    The first send from ``sender`` whose payload satisfies ``match``
+    triggers: sends of that payload to destinations outside
+    ``deliver_to`` are dropped (plane ``DROP`` verdicts), and the sender
+    is crashed as soon as the current event (the multicast loop)
+    completes -- messages to the allowed destinations are already in
+    flight, and a crashed sender sends nothing later.
     """
 
     def __init__(
@@ -37,32 +39,23 @@ class CrashDuringMulticast:
         sender: str,
         match: PayloadMatch,
         deliver_to: Iterable[str],
-        crash: bool = True,
     ) -> None:
         self.network = network
         self.sender = sender
         self.match = match
         self.deliver_to: Set[str] = set(deliver_to)
-        self.crash = crash
         self.triggered_at: Optional[float] = None
-        self._armed = True
-        network.add_interceptor(self)
+        network.ensure_fault_plane().add_rewrite(self)
 
-    def __call__(self, src: str, dst: str, payload: Any) -> bool:
-        if not self._armed or src != self.sender or not self.match(payload):
-            return True
+    def __call__(self, src: str, dst: str, payload: Any) -> Any:
+        if src != self.sender or not self.match(payload):
+            return None
         if self.triggered_at is None:
             self.triggered_at = self.network.sim.now
-            if self.crash:
-                # After the multicast loop finishes (same instant, later
-                # event), the sender is gone.
-                self.network.sim.call_soon(self._finish)
-        return dst in self.deliver_to
-
-    def _finish(self) -> None:
-        self._armed = False
-        if self.crash:
-            self.network.crash(self.sender)
+            # After the multicast loop finishes (same instant, later
+            # event), the sender is gone.
+            self.network.sim.call_soon(lambda: self.network.crash(self.sender))
+        return None if dst in self.deliver_to else DROP
 
 
 def crash_during_multicast(
@@ -70,10 +63,9 @@ def crash_during_multicast(
     sender: str,
     match: PayloadMatch,
     deliver_to: Iterable[str],
-    crash: bool = True,
 ) -> CrashDuringMulticast:
-    """Arm a :class:`CrashDuringMulticast` interceptor and return it."""
-    return CrashDuringMulticast(network, sender, match, deliver_to, crash)
+    """Arm a :class:`CrashDuringMulticast` hook and return it."""
+    return CrashDuringMulticast(network, sender, match, deliver_to)
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,11 @@ class FaultSchedule:
         return self
 
     def heal(self, time: float) -> "FaultSchedule":
-        """Add a heal (release all held messages) at ``time``."""
+        """Add a partition heal at ``time``.
+
+        Messages the partition held are released in send order, each
+        channel keeping its FIFO order.
+        """
         self.actions.append(FaultAction(time, "heal"))
         return self
 
@@ -167,9 +163,9 @@ def _make_action(
         if action.kind == "crash":
             network.crash(action.target)
         elif action.kind == "partition":
-            network.set_partition(action.target)
+            network.ensure_fault_plane().partition(action.target)
         elif action.kind == "heal":
-            network.heal()
+            network.ensure_fault_plane().heal_partition()
         elif action.kind == "oneway":
             network.ensure_fault_plane().block_links(action.target)
         elif action.kind == "heal_oneway":
@@ -199,8 +195,8 @@ def random_fault_schedule(
 
     At most ``max_crashes`` (must leave a majority alive) crash events at
     uniform times; optional transient wrong suspicions of live processes
-    (each later retracted); optional one partition window that isolates a
-    minority.
+    (each later retracted); optional one partition window that cuts a
+    minority of ``pids`` off from every other process, clients included.
     """
     majority = len(pids) // 2 + 1
     if len(pids) - max_crashes < majority:
@@ -219,9 +215,9 @@ def random_fault_schedule(
     if partition_probability > 0 and rng.random() < partition_probability:
         minority_size = rng.randint(1, len(pids) - majority)
         minority = rng.sample(list(pids), minority_size)
-        rest = [pid for pid in pids if pid not in minority]
         start = rng.uniform(horizon * 0.1, horizon * 0.6)
-        schedule.partition(start, [minority, rest])
+        # Unnamed processes, clients included, form the other group.
+        schedule.partition(start, [minority])
         schedule.heal(start + partition_duration)
     schedule.actions.sort(key=lambda a: a.time)
     return schedule

@@ -163,9 +163,7 @@ def run_figure_3(seed: int = 0) -> FigureRun:
             payload.rids[0].endswith("-2")
         )
 
-    crash_during_multicast(
-        run.network, "p1", is_second_batch, deliver_to={"p2"}, crash=True
-    )
+    crash_during_multicast(run.network, "p1", is_second_batch, deliver_to={"p2"})
 
     def suspect_p1() -> None:
         for pid in ("p2", "p3"):
@@ -216,15 +214,12 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> FigureRun
             "c1-1" in payload.rids
         )
 
-    crash_during_multicast(
-        run.network, "p1", is_second_batch, deliver_to={"p2"}, crash=True
-    )
+    crash_during_multicast(run.network, "p1", is_second_batch, deliver_to={"p2"})
+
+    plane = run.network.ensure_fault_plane()
 
     def isolate_minority() -> None:
-        run.network.set_partition([
-            ["p1", "p2"],
-            ["p3", "p4", "c1", "c2"],
-        ])
+        plane.partition([["p1", "p2"], ["p3", "p4", "c1", "c2"]])
         # p3 and p4 suspect the whole minority; p2 suspects only p1.
         for pid in ("p3", "p4"):
             run.detectors[pid].force_suspect("p1")
@@ -232,7 +227,7 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> FigureRun
         run.detectors["p2"].force_suspect("p1")
 
     run.sim.schedule_at(8.0, isolate_minority)
-    run.sim.schedule_at(40.0, run.network.heal)
+    run.sim.schedule_at(40.0, plane.heal_partition)
     run.sim.run(until=120.0, max_events=400_000)
     return run
 
@@ -293,9 +288,7 @@ def run_figure_1b(seed: int = 0) -> FigureRun:
     def is_pop_order(payload: Any) -> bool:
         return isinstance(payload, OrderMsg) and payload.rid == pop_rid
 
-    crash_during_multicast(
-        run.network, "p1", is_pop_order, deliver_to=set(), crash=True
-    )
+    crash_during_multicast(run.network, "p1", is_pop_order, deliver_to=set())
 
     def suspect_p1() -> None:
         for pid in ("p2", "p3"):
@@ -324,9 +317,7 @@ def run_figure_1b_with_oar(seed: int = 0) -> FigureRun:
     def is_pop_order(payload: Any) -> bool:
         return isinstance(payload, SeqOrder) and pop_rid in payload.rids
 
-    crash_during_multicast(
-        run.network, "p1", is_pop_order, deliver_to=set(), crash=True
-    )
+    crash_during_multicast(run.network, "p1", is_pop_order, deliver_to=set())
 
     def suspect_p1() -> None:
         for pid in ("p2", "p3"):

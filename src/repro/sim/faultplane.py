@@ -1,16 +1,38 @@
-"""Composable per-link fault plane for :class:`~repro.sim.network.SimNetwork`.
+"""The fault plane: where a :class:`~repro.sim.network.SimNetwork` holds or drops messages.
 
 The base network implements the paper's benign model: reliable FIFO
-channels where partitions *delay* rather than drop.  Everything beyond
-crash-stop -- probabilistic loss, duplication, reorder/jitter, payload
-corruption, asymmetric (one-way) partitions, heal storms -- lives here,
-behind a single hook in ``SimNetwork.transmit``.  A network without a
-plane installed pays nothing (one attribute check per send) and behaves
-byte-identically to the benign model.
+channels.  Everything that holds, drops or alters a message lives
+here -- partitions, one-way blocks, scripted drops (a sequencer that
+crashes mid-multicast), probabilistic loss, duplication,
+reorder/jitter, payload corruption and heal storms -- behind a single
+hook in ``SimNetwork.transmit`` and one in ``SimNetwork._deliver``.  A
+network without a plane installed pays one attribute check per send
+and per delivery and behaves byte-identically to the benign model.
 
 Composition model
 -----------------
 
+* **Rewrite hooks** (:meth:`FaultPlane.add_rewrite`) see every send
+  first, in installation order.  A hook returns ``None`` (pass), a
+  replacement payload (the equivocation scenarios swap rids inside
+  one ``SeqOrder``), or :data:`DROP` -- a scripted loss, counted as
+  ``dropped``.  :class:`repro.faults.CrashDuringMulticast` is such a
+  hook.  Rewrites run *before* the wire checksum is stamped, because a
+  Byzantine sender computes a valid checksum for whatever it sends,
+  unlike line noise.
+* **Blocks** hold a message instead of losing it, checked at the send
+  gate and again at the delivery gate (a message in flight when its
+  link goes down is held too).  :meth:`FaultPlane.partition` blocks
+  every link between groups in both directions; :meth:`FaultPlane.block`
+  blocks one ``src -> dst`` direction (the *asymmetric* partition
+  crash-stop chaos can never produce).  All held messages share one
+  list and one release routine, which releases them in send order:
+  :meth:`FaultPlane.heal_partition` keeps the channels' FIFO floor
+  (a partition delays messages, as in the paper's model), while
+  :meth:`FaultPlane.heal` releases the one-way backlog in one *storm*
+  that bypasses the floor so the burst genuinely arrives interleaved.
+  A message whose link is still cut by the other kind of block stays
+  held.
 * **Policies** (:class:`LinkFaultPolicy`) are matched per message by
   ``(src, dst, payload-kind)`` patterns, first match wins; ``"*"``
   matches anything.  The payload kind set of a message includes its
@@ -18,24 +40,15 @@ Composition model
   wrappers -- the inner class name plus the operation kind of a
   :class:`~repro.core.messages.Request` (e.g. ``"mig_install"``), so a
   policy can target exactly one protocol step.
-* **One-way blocks** (:meth:`FaultPlane.block`) hold every matching
-  ``src -> dst`` message (not matched messages in the other direction:
-  this is the *asymmetric* partition crash-stop chaos can never
-  produce).  :meth:`FaultPlane.heal` releases everything held in one
-  instant -- the heal *storm* -- bypassing the FIFO floor so the burst
-  genuinely arrives interleaved.
-* **Rewrites** are targeted payload transformations (the equivocation
-  scenarios swap rids inside one ``SeqOrder``); they run *before* the
-  wire checksum is stamped, because a Byzantine sender computes a valid
-  checksum for whatever it sends, unlike line noise.
 * **Corruption** wraps the payload *after* the checksum is stamped, so
   the receiving network detects the mismatch and drops the message
   (traced ``msg_corrupt_drop``) instead of delivering garbage to the
   protocol.
 
 Every injected fault is counted *and* traced (``msg_drop``, ``msg_dup``,
-``msg_corrupt``, ``msg_jitter``, ``msg_held``, ``msg_rewrite``,
-``heal_storm``); :func:`repro.analysis.checkers.check_fault_plane_accounting`
+``msg_corrupt``, ``msg_jitter``, ``msg_held``, ``msg_rewrite``, and
+``heal``/``heal_storm`` with the number released);
+:func:`repro.analysis.checkers.check_fault_plane_accounting`
 cross-checks the two so a fault can never silently vanish.
 
 All randomness draws from ``sim.child_rng("faultplane")``: runs stay
@@ -52,9 +65,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Set, 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network hooks us)
     from repro.sim.network import Envelope, SimNetwork
 
-#: Rewrite signature: ``(src, dst, payload) -> replacement | None``.
+#: Rewrite signature: ``(src, dst, payload) -> replacement | None | DROP``.
 #: Returning ``None`` leaves the payload untouched.
 RewriteHook = Callable[[str, str, Any], Optional[Any]]
+
+#: The rewrite-hook verdict that drops the message (scripted loss).
+DROP = object()
 
 
 def wire_checksum(payload: Any) -> int:
@@ -136,8 +152,9 @@ class FaultPlane:
     """The per-link fault injector installed on a :class:`SimNetwork`.
 
     Construct via ``network.ensure_fault_plane()`` (idempotent) rather
-    than directly; the network routes every post-interceptor send
-    through :meth:`process` once a plane is installed.
+    than directly; once a plane is installed the network routes every
+    send through :meth:`process` and every delivery through
+    :meth:`hold_if_blocked`.
     """
 
     def __init__(self, network: "SimNetwork") -> None:
@@ -148,6 +165,9 @@ class FaultPlane:
         self._rewrites: List[RewriteHook] = []
         #: One-way blocked links; "*" wildcards either side.
         self._blocked: Set[Tuple[str, str]] = set()
+        #: Links cut by the current partition (both directions).
+        self._partitioned: Set[Tuple[str, str]] = set()
+        #: Every held message, whichever block holds it.
         self._held: List["Envelope"] = []
         self._checksums = False
         # Fault accounting (cross-checked against the trace by
@@ -180,18 +200,13 @@ class FaultPlane:
             self._checksums = True
 
     def add_rewrite(self, hook: RewriteHook) -> None:
-        """Install a targeted payload rewrite (runs before checksums)."""
+        """Install a payload rewrite or scripted drop (runs before checksums)."""
         self._rewrites.append(hook)
 
     def block(self, src: str, dst: str) -> None:
         """One-way partition: hold every ``src -> dst`` message."""
         self._blocked.add((src, dst))
-        trace = self.network.trace
-        if trace.enabled:
-            trace.record(
-                self.network.sim.now, "*faultplane*", "oneway_block",
-                src=src, dst=dst,
-            )
+        self._record("oneway_block", src=src, dst=dst)
 
     def block_links(self, pairs: Iterable[Tuple[str, str]]) -> None:
         for src, dst in pairs:
@@ -199,6 +214,35 @@ class FaultPlane:
 
     def unblock(self, src: str, dst: str) -> None:
         self._blocked.discard((src, dst))
+
+    def partition(self, groups: Iterable[Iterable[str]]) -> None:
+        """Cut every link between ``groups``, replacing any partition.
+
+        Processes not named in any group form one implicit extra group.
+        Cross-group messages are held and released by
+        :meth:`heal_partition` (delayed, not lost -- channels stay
+        reliable).
+        """
+        groups = [list(group) for group in groups]
+        group_of = {}
+        for index, group in enumerate(groups):
+            for pid in group:
+                if pid in group_of:
+                    raise ValueError(f"{pid} appears in two partition groups")
+                group_of[pid] = index
+        pids = self.network.pids
+        self._partitioned = {
+            (src, dst)
+            for src in pids
+            for dst in pids
+            if group_of.get(src, -1) != group_of.get(dst, -1)
+        }
+        self._record("partition", groups=[sorted(group) for group in groups])
+
+    def heal_partition(self) -> None:
+        """Remove the partition and release held traffic in FIFO order."""
+        self._partitioned = set()
+        self._release(fifo=True, kind="heal")
 
     def heal(self) -> None:
         """Drop all one-way blocks and release held traffic in one storm.
@@ -209,22 +253,31 @@ class FaultPlane:
         the reconnection burst that shakes out fragile dedup paths.
         """
         self._blocked.clear()
+        self._release(fifo=False, kind="heal_storm")
+
+    def _release(self, fifo: bool, kind: str) -> None:
+        """Schedule every held message whose link is up, in send order."""
         held, self._held = self._held, []
         held.sort(key=lambda envelope: envelope.seq)
-        self.released += len(held)
-        dispatch = self.network._dispatch_from_plane
+        schedule = self.network._schedule_delivery
+        released = 0
         for envelope in held:
-            dispatch(envelope, 0.0, False)
+            if self._blocked_link(envelope.src, envelope.dst):
+                self._held.append(envelope)
+            else:
+                schedule(envelope, 0.0, fifo)
+                released += 1
+        self.released += released
+        self._record(kind, released=released)
+
+    def _record(self, kind: str, **fields: Any) -> None:
         trace = self.network.trace
         if trace.enabled:
-            trace.record(
-                self.network.sim.now, "*faultplane*", "heal_storm",
-                released=len(held),
-            )
+            trace.record(self.network.sim.now, "*faultplane*", kind, **fields)
 
     @property
     def pending_held(self) -> int:
-        """Messages currently held by one-way blocks."""
+        """Messages currently held by a block or the partition."""
         return len(self._held)
 
     def held_envelopes(self) -> List["Envelope"]:
@@ -244,10 +297,13 @@ class FaultPlane:
         }
 
     # ------------------------------------------------------------------
-    # The per-message path (called by SimNetwork.transmit)
+    # The per-message path (called by SimNetwork)
     # ------------------------------------------------------------------
 
     def _blocked_link(self, src: str, dst: str) -> bool:
+        partitioned = self._partitioned
+        if partitioned and (src, dst) in partitioned:
+            return True
         blocked = self._blocked
         if not blocked:
             return False
@@ -256,6 +312,20 @@ class FaultPlane:
             or (src, "*") in blocked
             or ("*", dst) in blocked
         )
+
+    def hold_if_blocked(self, envelope: "Envelope") -> bool:
+        """Hold ``envelope`` if its link is blocked (send and delivery gate)."""
+        if not self._blocked_link(envelope.src, envelope.dst):
+            return False
+        self._held.append(envelope)
+        self.held += 1
+        trace = self.network.trace
+        if trace.enabled:
+            trace.record(
+                self.network.sim.now, envelope.src, "msg_held",
+                dst=envelope.dst, payload=envelope.payload,
+            )
+        return True
 
     def _match(self, src: str, dst: str, payload: Any) -> Optional[LinkFaultPolicy]:
         kinds: Optional[Set[str]] = None
@@ -279,34 +349,30 @@ class FaultPlane:
         traced = trace.enabled
         now = network.sim.now
         src, dst = envelope.src, envelope.dst
-        if self._rewrites:
-            for hook in self._rewrites:
-                replacement = hook(src, dst, envelope.payload)
-                if replacement is not None:
-                    envelope.payload = replacement
-                    self.rewritten += 1
-                    if traced:
-                        trace.record(
-                            now, src, "msg_rewrite",
-                            dst=dst, payload=replacement,
-                        )
+        for hook in self._rewrites:
+            replacement = hook(src, dst, envelope.payload)
+            if replacement is None:
+                continue
+            if replacement is DROP:
+                self.dropped += 1
+                if traced:
+                    trace.record(now, src, "msg_drop", dst=dst, payload=envelope.payload)
+                return
+            envelope.payload = replacement
+            self.rewritten += 1
+            if traced:
+                trace.record(now, src, "msg_rewrite", dst=dst, payload=replacement)
         # The checksum covers what the sender *sent* (post-rewrite: a
         # Byzantine sender signs its own lie); line-noise corruption
         # below deliberately does not re-stamp.
         if self._checksums:
             envelope.checksum = wire_checksum(envelope.payload)
-        if self._blocked_link(src, dst):
-            self._held.append(envelope)
-            self.held += 1
-            if traced:
-                trace.record(
-                    now, src, "msg_held", dst=dst, payload=envelope.payload
-                )
+        if self.hold_if_blocked(envelope):
             return
         policy = self._match(src, dst, envelope.payload)
-        dispatch = network._dispatch_from_plane
+        schedule = network._schedule_delivery
         if policy is None:
-            dispatch(envelope, 0.0, True)
+            schedule(envelope)
             return
         rng = self.rng
         copies = [envelope]
@@ -346,7 +412,7 @@ class FaultPlane:
                         now, src, "msg_jitter",
                         dst=dst, extra=extra, payload=copy.payload,
                     )
-            dispatch(copy, extra, fifo)
+            schedule(copy, extra, fifo)
 
 
 def install_uniform_faults(

@@ -1,12 +1,10 @@
-"""Simulated network: reliable FIFO channels, partitions, crash injection.
+"""Simulated network: reliable FIFO channels and crash injection.
 
 The channel semantics implement the system model of the paper (Section 3):
 
 * **Reliable** -- a message sent by a process that does not crash is
   eventually delivered to its destination if the destination does not
-  crash.  Partitions *delay* messages (they are held and released on heal)
-  rather than dropping them, which models asynchrony without violating
-  channel reliability.
+  crash.
 * **FIFO** -- two messages from p to q are delivered in send order.
   The network enforces this by never scheduling an arrival on a channel
   earlier than the previously scheduled arrival on that channel.
@@ -14,39 +12,25 @@ The channel semantics implement the system model of the paper (Section 3):
   already in flight *from* it are still delivered (they left the sender
   before the crash), messages *to* it are discarded at delivery time.
 
-Fault injection that needs to interact with individual sends (e.g. "crash
-the sequencer so that only p2 receives the ordering message", Figures 3
-and 4) is done through *send interceptors*; see :mod:`repro.faults`.
+Every other fault -- a partition that *delays* messages (held, then
+released on heal, so channels stay reliable), a sequencer that crashes
+partway through a multicast (Figures 1(b), 3 and 4), loss, duplication,
+corruption -- is decided by the optional
+:class:`~repro.sim.faultplane.FaultPlane`, the one place where a message
+is held or dropped; see also :mod:`repro.faults`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.sim.faultplane import DROP, FaultPlane, wire_checksum
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.loop import Simulator, TimerHandle
 from repro.sim.process import Process, ProcessEnv
 from repro.sim.trace import TraceLog
-
-if TYPE_CHECKING:  # pragma: no cover - circular-import guard
-    from repro.sim.faultplane import FaultPlane
-
-#: Interceptor signature: (src, dst, payload) -> deliver?  Returning False
-#: drops the message (used only by fault-injection scenarios; the normal
-#: network never drops).
-SendInterceptor = Callable[[str, str, Any], bool]
 
 
 class Envelope:
@@ -128,7 +112,7 @@ class SimNetwork:
         One-way delay model for all links (default: constant 1.0 -- one
         simulated time unit per message phase).
     trace_messages:
-        When True, every send/delivery/drop is recorded in the trace log
+        When True, every send and delivery is recorded in the trace log
         (useful for figure-exact reproductions; off by default to keep
         large soak runs cheap).
     trace_level:
@@ -156,12 +140,8 @@ class SimNetwork:
         self._crashed: set = set()
         self._seq = itertools.count()
         self._last_arrival: Dict[Tuple[str, str], float] = {}
-        self._interceptors: List[SendInterceptor] = []
-        self._group_of: Optional[Dict[str, int]] = None
-        self._held: List[Envelope] = []
         self._messages_sent = 0
         self._messages_delivered = 0
-        self._messages_dropped = 0
         #: Corrupted payloads detected (checksum mismatch) and dropped
         #: at delivery instead of being handed to the protocol.
         self.corrupt_dropped = 0
@@ -171,7 +151,7 @@ class SimNetwork:
         # Only fault-plane-stamped envelopes are tracked, so golden runs
         # never touch this set.
         self._in_flight_checksummed: set = set()
-        self._fault_plane: Optional["FaultPlane"] = None
+        self._fault_plane: Optional[FaultPlane] = None
         self._rng = sim.child_rng("network")
 
     # ------------------------------------------------------------------
@@ -196,25 +176,27 @@ class SimNetwork:
         return self._messages_delivered
 
     @property
-    def messages_dropped(self) -> int:
-        """Sends suppressed by interceptors (scripted fault injection)."""
-        return self._messages_dropped
-
-    @property
-    def fault_plane(self) -> Optional["FaultPlane"]:
+    def fault_plane(self) -> Optional[FaultPlane]:
         return self._fault_plane
 
-    def ensure_fault_plane(self) -> "FaultPlane":
+    def ensure_fault_plane(self) -> FaultPlane:
         """The installed fault plane, creating one on first use.
 
         Idempotent: fault schedules, scenario ``faults`` hooks, and
         tests can all compose policies onto the same plane.
         """
         if self._fault_plane is None:
-            from repro.sim.faultplane import FaultPlane
-
             self._fault_plane = FaultPlane(self)
         return self._fault_plane
+
+    def add_interceptor(self, interceptor: Callable[[str, str, Any], bool]) -> None:
+        """Drop every send for which ``interceptor(src, dst, payload)`` is false.
+
+        A constructor for a fault-plane rewrite hook returning ``DROP``.
+        """
+        self.ensure_fault_plane().add_rewrite(
+            lambda src, dst, payload: None if interceptor(src, dst, payload) else DROP
+        )
 
     def stats(self) -> Dict[str, int]:
         """Aggregate message/fault counters for the run report.
@@ -226,7 +208,6 @@ class SimNetwork:
         stats = {
             "sent": self._messages_sent,
             "delivered": self._messages_delivered,
-            "intercepted": self._messages_dropped,
             "corrupt_dropped": self.corrupt_dropped,
         }
         if self._fault_plane is not None:
@@ -280,59 +261,6 @@ class SimNetwork:
         return [p for p in self._processes if p not in self._crashed]
 
     # ------------------------------------------------------------------
-    # Send interception (fault scripting)
-    # ------------------------------------------------------------------
-
-    def add_interceptor(self, interceptor: SendInterceptor) -> None:
-        self._interceptors.append(interceptor)
-
-    def remove_interceptor(self, interceptor: SendInterceptor) -> None:
-        self._interceptors.remove(interceptor)
-
-    # ------------------------------------------------------------------
-    # Partitions
-    # ------------------------------------------------------------------
-
-    def set_partition(self, groups: Sequence[Iterable[str]]) -> None:
-        """Partition the network into the given groups.
-
-        Messages crossing group boundaries are held and released on
-        :meth:`heal` (delayed, not lost -- channels stay reliable).
-        Processes not named in any group form one implicit extra group.
-        """
-        group_of: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for pid in group:
-                if pid in group_of:
-                    raise ValueError(f"{pid} appears in two partition groups")
-                group_of[pid] = index
-        self._group_of = group_of
-        self.trace.record(
-            self.sim.now, "*network*", "partition",
-            groups=[sorted(g) for g in map(list, groups)],
-        )
-
-    def heal(self) -> None:
-        """Remove the partition and release all held messages.
-
-        Held messages are released in global send order (their ``seq``):
-        a message that was already in flight when the partition formed
-        was *sent* before anything held at send time, and FIFO is defined
-        by send order.
-        """
-        self._group_of = None
-        held, self._held = self._held, []
-        held.sort(key=lambda envelope: envelope.seq)
-        for envelope in held:
-            self._schedule_delivery(envelope)
-        self.trace.record(self.sim.now, "*network*", "heal", released=len(held))
-
-    def _crosses_partition(self, src: str, dst: str) -> bool:
-        if self._group_of is None:
-            return False
-        return self._group_of.get(src, -1) != self._group_of.get(dst, -1)
-
-    # ------------------------------------------------------------------
     # Message transmission
     # ------------------------------------------------------------------
 
@@ -342,43 +270,16 @@ class SimNetwork:
             return  # a crashed process cannot send
         if dst not in self._processes:
             raise KeyError(f"unknown destination: {dst}")
-        if self._interceptors:
-            for interceptor in list(self._interceptors):
-                if not interceptor(src, dst, payload):
-                    self._messages_dropped += 1
-                    if self.trace_messages:
-                        self.trace.record(
-                            self.sim.now, src, "msg_dropped", dst=dst, payload=payload,
-                        )
-                    return
         self._messages_sent += 1
         envelope = Envelope(next(self._seq), src, dst, payload, self.sim.now)
         if self.trace_messages:
             self.trace.record(self.sim.now, src, "msg_send", dst=dst, payload=payload)
         if self._fault_plane is not None:
-            # The plane re-enters via _dispatch_from_plane for every
-            # copy it decides to put on the wire.
+            # The plane re-enters via _schedule_delivery for every copy
+            # it decides to put on the wire.
             self._fault_plane.process(envelope)
             return
-        if self._group_of is not None and self._crosses_partition(src, dst):
-            self._held.append(envelope)
-            return
         self._schedule_delivery(envelope)
-
-    def _dispatch_from_plane(
-        self, envelope: Envelope, extra_delay: float, fifo: bool
-    ) -> None:
-        """Put one plane-approved envelope on the wire.
-
-        Group partitions still apply (the fault plane *composes* with
-        scripted symmetric partitions, it does not replace them).
-        """
-        if self._group_of is not None and self._crosses_partition(
-            envelope.src, envelope.dst
-        ):
-            self._held.append(envelope)
-            return
-        self._schedule_delivery(envelope, extra_delay, fifo)
 
     def _schedule_delivery(
         self, envelope: Envelope, extra_delay: float = 0.0, fifo: bool = True
@@ -412,8 +313,6 @@ class SimNetwork:
     def _deliver(self, envelope: Envelope) -> None:
         if envelope.checksum is not None:
             self._in_flight_checksummed.discard(envelope)
-            from repro.sim.faultplane import wire_checksum
-
             if wire_checksum(envelope.payload) != envelope.checksum:
                 # Detected-and-dropped: corrupted payloads never reach
                 # the protocol.  Checked before the crashed-destination
@@ -427,10 +326,8 @@ class SimNetwork:
                 return
         if envelope.dst in self._crashed:
             return
-        if self._group_of is not None and self._crosses_partition(envelope.src, envelope.dst):
-            # A partition formed while the message was in flight: hold it.
-            self._held.append(envelope)
-            return
+        if self._fault_plane is not None and self._fault_plane.hold_if_blocked(envelope):
+            return  # its link went down while it was in flight
         process = self._processes.get(envelope.dst)
         if process is None:
             return

@@ -32,9 +32,7 @@ def make_anomaly_config(seed: int, lost_order_index: int = 4) -> ScenarioConfig:
                 run.config.n_servers - 1
             )
 
-        crash_during_multicast(
-            run.network, "p1", match, deliver_to=set(), crash=True
-        )
+        crash_during_multicast(run.network, "p1", match, deliver_to=set())
 
     return ScenarioConfig(
         protocol="sequencer",

@@ -67,8 +67,9 @@ class TestEventualAccuracy:
         # suspected; after healing the heartbeat recants the suspicion
         # and the timeout grows (eventual accuracy mechanism).
         sim, network, procs = build(interval=2.0, timeout=5.0)
-        sim.schedule_at(10.0, lambda: network.set_partition([["p1"], ["p2", "p3"]]))
-        sim.schedule_at(30.0, network.heal)
+        plane = network.ensure_fault_plane()
+        sim.schedule_at(10.0, lambda: plane.partition([["p1"], ["p2", "p3"]]))
+        sim.schedule_at(30.0, plane.heal_partition)
         sim.run(until=40.0)
         p2 = procs[1]
         assert ("p1", True) in p2.transitions  # was suspected

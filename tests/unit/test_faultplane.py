@@ -192,6 +192,20 @@ class TestOneWayBlocks:
         assert len(storms) == 1 and storms[0]["released"] == 4
         check_fault_plane_accounting(network.trace, network)
 
+    def test_block_holds_message_already_in_flight(self):
+        sim, network, (a, b) = build()
+        plane = network.ensure_fault_plane()
+        a.env.send("p2", "in flight")
+        sim.run(until=0.5)
+        plane.block("p1", "p2")
+        sim.run(until=10.0)
+        assert b.received == []
+        assert plane.pending_held == 1
+        plane.heal()
+        sim.run()
+        assert [p for _s, p in b.received] == ["in flight"]
+        check_fault_plane_accounting(network.trace, network)
+
     def test_unblock_without_release(self):
         sim, network, (a, b) = build()
         plane = network.ensure_fault_plane()
@@ -272,6 +286,27 @@ class TestAccountingChecker:
         a.env.send("p2", "x")
         sim.run()
         plane._held.clear()  # lose a held message without releasing it
+        with pytest.raises(CheckFailure):
+            check_fault_plane_accounting(network.trace, network)
+
+    def test_partition_holds_are_accounted(self):
+        sim, network, (a, b) = build()
+        FaultSchedule().partition(1.0, [["p1"], ["p2"]]).heal(10.0).apply(network)
+        for when in (2.0, 3.0):
+            sim.schedule_at(when, lambda: a.env.send("p2", "x"))
+        sim.run()
+        stats = check_fault_plane_accounting(network.trace, network)
+        assert stats["held"] == stats["released"] == 2
+        assert len(b.received) == 2
+
+    def test_lost_partition_hold_detected(self):
+        sim, network, (a, b) = build()
+        FaultSchedule().partition(1.0, [["p1"], ["p2"]]).heal(10.0).apply(network)
+        for when in (2.0, 3.0):
+            sim.schedule_at(when, lambda: a.env.send("p2", "x"))
+        sim.run(until=5.0)
+        network.fault_plane._held.pop()  # lose a held message before the heal
+        sim.run()
         with pytest.raises(CheckFailure):
             check_fault_plane_accounting(network.trace, network)
 

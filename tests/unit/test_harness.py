@@ -16,6 +16,7 @@ from repro.sim.latency import (
 )
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
+from repro.sim.process import Process
 
 pytestmark = pytest.mark.unit
 
@@ -236,3 +237,38 @@ class TestRandomFaultSchedules:
             for action in partitions:
                 minority = action.target[0]
                 assert len(minority) <= 2  # < majority of 5
+
+    def test_partition_leaves_clients_with_the_majority(self):
+        # Only the minority is named: the clients share the implicit
+        # group with the majority servers and keep reaching them.
+        class Recorder(Process):
+            def __init__(self, pid):
+                super().__init__(pid)
+                self.received = []
+
+            def on_message(self, src, payload):
+                self.received.append(payload)
+
+        servers = ["p1", "p2", "p3"]
+        for seed in range(5):
+            schedule = random_fault_schedule(
+                random.Random(seed), servers, 100.0, 0, partition_probability=1.0,
+            )
+            start = next(a.time for a in schedule.actions if a.kind == "partition")
+            heal = next(a.time for a in schedule.actions if a.kind == "heal")
+            minority = next(
+                a.target[0] for a in schedule.actions if a.kind == "partition"
+            )
+            network = SimNetwork(Simulator(seed=seed))
+            procs = {pid: Recorder(pid) for pid in servers + ["c1", "c2"]}
+            for proc in procs.values():
+                network.add_process(proc)
+            network.start_all()
+            schedule.apply(network)
+            network.sim.schedule_at(
+                start + 1.0,
+                lambda: [procs["c1"].env.send(pid, "ping") for pid in servers],
+            )
+            network.sim.run(until=heal - 1.0)
+            reached = {pid for pid in servers if procs[pid].received}
+            assert reached == set(servers) - set(minority), seed

@@ -139,11 +139,11 @@ class TestCrash:
 class TestPartition:
     def test_partition_holds_and_heal_releases(self):
         sim, network, (a, b) = build()
-        network.set_partition([["p1"], ["p2"]])
+        network.ensure_fault_plane().partition([["p1"], ["p2"]])
         a.env.send("p2", "delayed")
         sim.run(until=10.0)
         assert b.received == []
-        network.heal()
+        network.fault_plane.heal_partition()
         sim.run()
         assert [p for _s, p in b.received] == ["delayed"]
 
@@ -151,17 +151,29 @@ class TestPartition:
         sim, network, (a, b) = build()
         a.env.send("p2", "first")
         sim.run(until=0.5)  # first is in flight
-        network.set_partition([["p1"], ["p2"]])
+        network.ensure_fault_plane().partition([["p1"], ["p2"]])
         a.env.send("p2", "second")
         a.env.send("p2", "third")
         sim.run(until=5.0)
-        network.heal()
+        network.fault_plane.heal_partition()
         sim.run()
         assert [p for _s, p in b.received] == ["first", "second", "third"]
 
+        # Under jittery latency FIFO is not free: the heal must keep the
+        # channel floor (a storm releasing the backlog would reorder it).
+        sim, network, (a, b) = build(latency=UniformLatency(0.5, 3.0))
+        network.ensure_fault_plane().partition([["p1"], ["p2"]])
+        for i in range(12):
+            a.env.send("p2", i)
+        sim.run(until=5.0)
+        assert b.received == []
+        network.fault_plane.heal_partition()
+        sim.run()
+        assert [p for _s, p in b.received] == list(range(12))
+
     def test_same_group_communication_unaffected(self):
         sim, network, (a, b, c) = build(n=3)
-        network.set_partition([["p1", "p2"], ["p3"]])
+        network.ensure_fault_plane().partition([["p1", "p2"], ["p3"]])
         a.env.send("p2", "intra")
         a.env.send("p3", "inter")
         sim.run(until=10.0)
@@ -170,7 +182,7 @@ class TestPartition:
 
     def test_unlisted_processes_share_implicit_group(self):
         sim, network, (a, b, c) = build(n=3)
-        network.set_partition([["p1"]])
+        network.ensure_fault_plane().partition([["p1"]])
         b.env.send("p3", "rest-to-rest")
         sim.run(until=10.0)
         assert [p for _s, p in c.received] == ["rest-to-rest"]
@@ -178,15 +190,15 @@ class TestPartition:
     def test_duplicate_group_membership_rejected(self):
         sim, network, _ = build(n=2)
         with pytest.raises(ValueError):
-            network.set_partition([["p1"], ["p1", "p2"]])
+            network.ensure_fault_plane().partition([["p1"], ["p1", "p2"]])
 
     def test_message_in_flight_when_partition_forms_is_held(self):
         sim, network, (a, b) = build()
         a.env.send("p2", "caught")
-        network.set_partition([["p1"], ["p2"]])
+        network.ensure_fault_plane().partition([["p1"], ["p2"]])
         sim.run(until=10.0)
         assert b.received == []
-        network.heal()
+        network.fault_plane.heal_partition()
         sim.run()
         assert [p for _s, p in b.received] == ["caught"]
 
@@ -199,16 +211,6 @@ class TestInterceptors:
         a.env.send("p2", "keep-me")
         sim.run()
         assert [p for _s, p in b.received] == ["keep-me"]
-
-    def test_interceptor_removal(self):
-        sim, network, (a, b) = build()
-        block = lambda src, dst, payload: False
-        network.add_interceptor(block)
-        a.env.send("p2", 1)
-        network.remove_interceptor(block)
-        a.env.send("p2", 2)
-        sim.run()
-        assert [p for _s, p in b.received] == [2]
 
     def test_crash_during_multicast_partial_delivery(self):
         sim, network, procs = build(n=4)
